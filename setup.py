@@ -1,7 +1,7 @@
 """Build shim for the optional compiled kernel.
 
 The package is pure Python; `apcover._kernels._ckernels` is a Cython
-speedup for the two hot sweep loops. If Cython or a C compiler is
+speedup for the uncovered scan. If Cython or a C compiler is
 missing the extension is skipped and the pure backend is used instead.
 
     python setup.py build_ext --inplace    # compile the kernel in-tree

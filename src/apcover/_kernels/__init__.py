@@ -1,8 +1,9 @@
-"""Sweep kernels with a backend selected at import.
+"""Sweep kernels.
 
-The compiled Cython backend is used when it was built and the inputs
-fit machine words; otherwise the pure-Python backend takes over.  Set
-APCOVER_PURE=1 to force the pure backend regardless.
+The witness sweep is pure Python only.  The uncovered scan uses the
+compiled Cython backend when it was built and the progression length is
+sane; otherwise the pure-Python backend takes over.  Set APCOVER_PURE=1
+to force the pure backend regardless.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ else:
 
 BACKEND = "c" if _ckernels is not None else "python"
 
-# The compiled sweep does uint64 arithmetic on values up to 2n.
-_C_SWEEP_MAX = (1 << 62) - 1
 _C_SCAN_MAX_K = 1000
 
-
-def witness_sweep(lo: int, hi: int) -> list[int]:
-    """All n in [lo, hi] whose constructed witness fails validation."""
-    if _ckernels is not None and hi <= _C_SWEEP_MAX:
-        return _ckernels.witness_sweep(lo, hi)
-    return _pykernels.witness_sweep(lo, hi)
+witness_sweep = _pykernels.witness_sweep
 
 
 def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:

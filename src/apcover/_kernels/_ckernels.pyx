@@ -1,104 +1,18 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernel backend: uint64 reimplementation of the hot sweeps.
+"""Compiled kernel backend: an int64 reimplementation of the uncovered scan.
 
-Must return exactly what _pykernels returns on any shared input; the
-dispatcher routes inputs that would not fit machine words (huge bounds,
-absurd progression lengths) to the pure backend instead.
+Must return exactly what _pykernels.uncovered_scan returns on any shared
+input; the dispatcher routes absurd progression lengths to the pure
+backend instead.
 """
 
 import array as _array
 
 from cpython cimport array
 
-ctypedef unsigned long long u64
 ctypedef long long i64
 
 BACKEND = "c"
-
-cdef int LEAD_B[8]
-cdef int LEAD_A[8]
-cdef int DIG_B[4]
-cdef int DIG_A[4]
-
-LEAD_B[2], LEAD_A[2] = 1, 0
-LEAD_B[3], LEAD_A[3] = 2, 1
-LEAD_B[4], LEAD_A[4] = 2, 0
-LEAD_B[5], LEAD_A[5] = 3, 1
-LEAD_B[6], LEAD_A[6] = 3, 0
-LEAD_B[7], LEAD_A[7] = 4, 1
-
-DIG_B[0], DIG_A[0] = 1, 2
-DIG_B[1], DIG_A[1] = 1, 1
-DIG_B[2], DIG_A[2] = 2, 2
-DIG_B[3], DIG_A[3] = 2, 1
-
-
-cdef int _member_level(u64 n) noexcept nogil:
-    """Level of n in the block set, or -1 when n is not a member."""
-    cdef int top = 0
-    cdef u64 t, lead, rest, d
-    cdef int level, i
-    cdef bint ok
-    if n < 1:
-        return -1
-    t = n >> 2
-    while t:
-        t >>= 2
-        top += 1
-    for level in range(top, top - 2, -1):
-        if level < 0:
-            continue
-        lead = n >> (2 * level)
-        if lead < 1 or lead > 4:
-            continue
-        rest = n - (lead << (2 * level))
-        ok = True
-        for i in range(level):
-            d = rest & 3
-            rest >>= 2
-            if d != 1 and d != 2:
-                ok = False
-                break
-        if ok:
-            return level
-    return -1
-
-
-def witness_sweep(u64 lo, u64 hi):
-    """All n in [lo, hi] whose constructed witness fails validation."""
-    cdef u64 n, m, rem, a, b, t
-    cdef int level, i, la, lb
-    cdef bint ok
-    if lo < 32:
-        raise ValueError(f"sweep starts at 32, got lo={lo}")
-    if hi >= (<u64>1) << 62:
-        raise OverflowError("sweep bound too large for the compiled kernel")
-    failures = []
-    for n in range(lo, hi + 1):
-        level = 0
-        t = n >> 3
-        while t:
-            t >>= 2
-            level += 1
-        m = n >> (2 * level)
-        if m < 2 or m > 7:
-            failures.append(n)
-            continue
-        rem = n - (m << (2 * level))
-        b = (<u64>LEAD_B[m]) << (2 * level)
-        a = (<u64>LEAD_A[m]) << (2 * level)
-        for i in range(level):
-            b += (<u64>DIG_B[rem & 3]) << (2 * i)
-            a += (<u64>DIG_A[rem & 3]) << (2 * i)
-            rem >>= 2
-        ok = 1 <= a and a < b and b < n and a + n == 2 * b
-        if ok:
-            lb = _member_level(b)
-            la = _member_level(a)
-            ok = lb == level and (la == level or la == level - 1)
-        if not ok:
-            failures.append(n)
-    return failures
 
 
 def uncovered_scan(const unsigned char[:] table, elements, i64 lo, i64 hi, int k):

@@ -1,16 +1,46 @@
 """Pure-Python kernel backend.
 
-Reference implementations of the two hot sweep loops, built directly
-on the library's own pure functions.  The compiled backend in
-_ckernels.pyx must agree with these exactly; tests compare them on
+The witness sweep is implemented here only.  The uncovered scan is the
+reference implementation of the loop that _ckernels.pyx compiles; the
+compiled one must agree with it exactly, and tests compare them on
 shared ranges.
 """
 
 from __future__ import annotations
 
-from ..witness import MIN_N, find_witness, validate
+from functools import lru_cache
+
+from ..sequence import decompose
+from ..witness import DIGIT_PAIRS, MIN_N, find_witness, level_for
 
 BACKEND = "python"
+
+#: The sweep walks aligned blocks of 4**BLOCK_DIGITS consecutive n.
+BLOCK_DIGITS = 6
+
+
+@lru_cache(maxsize=4)
+def _low_tables(digit_pairs: tuple[tuple[int, int], ...]):
+    """Low parts of b and a for every remainder, one table pair per width.
+
+    Entry t holds (low_b, low_a), indexed by r in [0, 4**t): the sum of
+    the pair-table images of r's t base-4 digits, which is what
+    find_witness adds below position t.  Keyed by the digit pair rows
+    themselves, so a changed pair table never meets stale tables.
+    """
+    low_b, low_a = (0,), (0,)
+    tables = [(low_b, low_a)]
+    for _ in range(BLOCK_DIGITS):
+        low_b = tuple(4 * x + v_b for x in low_b for v_b, _ in digit_pairs)
+        low_a = tuple(4 * x + v_a for x in low_a for _, v_a in digit_pairs)
+        tables.append((low_b, low_a))
+    return tuple(tables)
+
+
+def _level(v: int) -> int:
+    """Level of v in A, or -1 when v is not a member."""
+    e = decompose(v)
+    return -1 if e is None else e.level
 
 
 def witness_sweep(lo: int, hi: int) -> list[int]:
@@ -18,14 +48,50 @@ def witness_sweep(lo: int, hi: int) -> list[int]:
 
     An empty list is the expected outcome; any entry is a
     counterexample to the covering construction.
+
+    Equivalent to collecting every n with not validate(find_witness(n)),
+    but walks [lo, hi] in aligned blocks of 4**t consecutive n, with
+    t = min(BLOCK_DIGITS, level).  Level, coarse quotient and the digits
+    above position t are fixed inside a block, so each a and b is the
+    block's high part, read off find_witness at the block's first n,
+    plus a low part from _low_tables.  Every n still gets the checks
+    validate makes; membership of a and b is decided by decompose, once
+    per distinct low part in the block.
     """
     if lo < MIN_N:
         raise ValueError(f"sweep starts at {MIN_N}, got lo={lo}")
-    failures = []
-    for n in range(lo, hi + 1):
-        if not validate(find_witness(n)):
-            failures.append(n)
+    tables = _low_tables(tuple(DIGIT_PAIRS[d] for d in range(4)))
+    failures: list[int] = []
+    start = lo
+    while start <= hi:
+        level = level_for(start)
+        t = min(BLOCK_DIGITS, level)
+        base = start >> (2 * t) << (2 * t)
+        stop = min(hi, base + (1 << (2 * t)) - 1)
+        failures += _sweep_block(level, base, start, stop, tables[t])
+        start = stop + 1
     return failures
+
+
+def _sweep_block(level, base, start, stop, low) -> list[int]:
+    """Failures among n in [start, stop], all inside the block at `base`."""
+    w = find_witness(base)
+    high_b = w.b - low[0][0]
+    high_a = w.a - low[1][0]
+    low_b = low[0][start - base:stop - base + 1]
+    low_a = low[1][start - base:stop - base + 1]
+    ok_b = {v for v in set(low_b) if _level(high_b + v) == level}
+    ok_a = {v for v in set(low_a) if _level(high_a + v) in (level, level - 1)}
+    return [
+        n
+        for n, v_b, v_a in zip(range(start, stop + 1), low_b, low_a)
+        if not (
+            1 <= (a := high_a + v_a) < (b := high_b + v_b) < n
+            and a + n == 2 * b
+            and v_b in ok_b
+            and v_a in ok_a
+        )
+    ]
 
 
 def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:

@@ -9,12 +9,16 @@ verification sweep found a counterexample, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import _kernels, density, oracle, stanley
 from .sequence import BLOCK_SEQUENCE, count_leq, decompose, element_at
 from .witness import MIN_N, find_witness, validate
+
+#: Ceiling on verify-covering --jobs; larger values are rejected.
+MAX_JOBS = 64
 
 
 def _parse_seed(text: str) -> list[int]:
@@ -50,7 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"split the range into this many chunks (1..{MAX_JOBS}); "
+        "at most one worker process per CPU",
+    )
 
     p = sub.add_parser(
         "min-n0",
@@ -82,6 +92,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upto", type=int, required=True)
 
     return parser
+
+
+def _plan_sweep(
+    lo: int, hi: int, jobs: int, cpus: int | None
+) -> tuple[list[tuple[int, int]], int]:
+    """Split [lo, hi] into at most `jobs` chunks; pick the worker count.
+
+    Workers are min(jobs, cpus, number of chunks), at least 1; `cpus`
+    is os.cpu_count(), which may be None.
+    """
+    step = -(-(hi - lo + 1) // jobs)
+    chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+    return chunks, max(1, min(jobs, cpus or 1, len(chunks)))
 
 
 def _sweep_chunk(bounds: tuple[int, int]) -> tuple[int, list[int]]:
@@ -118,22 +141,17 @@ def _cmd_verify_covering(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    if not 1 <= args.jobs <= MAX_JOBS:
+        print(f"--jobs must be in 1..{MAX_JOBS}", file=sys.stderr)
         return 2
-    if args.jobs == 1:
+    chunks, workers = _plan_sweep(args.lo, args.hi, args.jobs, os.cpu_count())
+    if workers == 1:
         failures = _kernels.witness_sweep(args.lo, args.hi)
         checked = args.hi - args.lo + 1
     else:
-        span = args.hi - args.lo + 1
-        step = -(-span // args.jobs)
-        chunks = [
-            (lo, min(lo + step - 1, args.hi))
-            for lo in range(args.lo, args.hi + 1, step)
-        ]
         checked = 0
         failures = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for n_checked, fails in pool.map(_sweep_chunk, chunks):
                 checked += n_checked
                 failures.extend(fails)

@@ -60,6 +60,30 @@ def test_verify_covering_jobs_match_single(capsys):
     assert multi == single
 
 
+def test_plan_sweep_bounds_workers():
+    chunks, workers = cli._plan_sweep(32, 5000, 3, 2)
+    assert chunks == [(32, 1688), (1689, 3345), (3346, 5000)]
+    assert workers == 2
+    # fewer n than jobs: one chunk per n, one worker per chunk
+    assert cli._plan_sweep(32, 34, 8, 16) == ([(32, 32), (33, 33), (34, 34)], 3)
+    # unknown CPU count runs in-process
+    assert cli._plan_sweep(32, 5000, 4, None)[1] == 1
+    # the ceiling never plans more workers than CPUs, even on a huge range
+    chunks, workers = cli._plan_sweep(32, 4**500, cli.MAX_JOBS, 2)
+    assert len(chunks) == cli.MAX_JOBS and workers == 2
+    assert chunks[0][0] == 32 and chunks[-1][1] == 4**500
+    assert all(b + 1 == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+
+
+def test_verify_covering_jobs_out_of_range(capsys):
+    for jobs in ("0", str(cli.MAX_JOBS + 1), "1000000"):
+        code, out, err = run(
+            capsys, "verify-covering", "--from", "32", "--to", "100", "--jobs", jobs
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--jobs" in err
+
+
 def test_verify_covering_bad_range(capsys):
     code, _, err = run(capsys, "verify-covering", "--from", "10", "--to", "50")
     assert code == 2 and err
