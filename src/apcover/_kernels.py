@@ -1,17 +1,15 @@
-"""Pure-Python kernel backend.
+"""Sweep kernels: the witness sweep and the uncovered scan.
 
-The witness sweep is implemented here only.  The uncovered scan is the
-reference implementation of the loop that _ckernels.pyx compiles; the
-compiled one must agree with it exactly, and tests compare them on
-shared ranges.
+Both are pure Python over exact integers; BACKEND names the only
+backend there is.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..sequence import decompose
-from ..witness import DIGIT_PAIRS, MIN_N, find_witness, level_for
+from .sequence import decompose
+from .witness import DIGIT_PAIRS, MIN_N, find_witness, level_for
 
 BACKEND = "python"
 
@@ -94,31 +92,45 @@ def _sweep_block(level, base, start, stop, low) -> list[int]:
     ]
 
 
+#: Maps a 0/1 membership byte to the binary digit int() reads.
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     """All n in [lo, hi] with no k-AP witness inside the tabulated set.
 
     `table` is a 0/1 membership array covering [0, hi]; `elements`
-    lists the members in increasing order.  For each n, candidate
-    b-terms are walked downward from just below n, which tries the
-    common differences d = n - b in increasing order and stops once
-    n - (k-1)*d would be negative.
+    lists the same members in increasing order and is not needed here.
+    n is covered when some d >= 1 puts all of n - (k-1)*d, ..., n - d
+    in the set.
+
+    One big-int bitset holds the members up to hi, written from the
+    top: bit p of `rev` is set iff hi - p is a member, so shifting rev
+    right by j*d moves member v to position hi - v - j*d.  For each d,
+    the AND of rev >> j*d over j = 0 .. k-2 marks at p every t = hi - p
+    with t, t - d, ..., t - (k-2)*d all members.  That run covers
+    n = t + d, at position p - d, so one more shift by d adds it to
+    `covered`, which is indexed like rev.  The AND stops at the first
+    empty result.
     """
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
+    rev = int(bytes(table[: hi + 1]).translate(_BITS), 2)
+    covered = 0
+    for d in range(1, hi // (k - 1) + 1):
+        run = rev
+        for shift in range(d, (k - 1) * d, d):
+            run &= rev >> shift
+            if not run:
+                break
+        else:
+            covered |= run >> d
+    # character i of the bit string, below a sentinel 1, is n = lo + i
+    width = hi - lo + 1
+    bits = bin(covered & ((1 << width) - 1) | 1 << width)[3:]
     uncovered = []
-    top = 0  # number of elements < n, maintained as n ascends
-    count = len(elements)
-    for n in range(lo, hi + 1):
-        while top < count and elements[top] < n:
-            top += 1
-        found = False
-        for idx in range(top - 1, -1, -1):
-            d = n - elements[idx]
-            if n - (k - 1) * d < 0:
-                break
-            if all(table[n - j * d] for j in range(2, k)):
-                found = True
-                break
-        if not found:
-            uncovered.append(n)
+    i = bits.find("0")
+    while i >= 0:
+        uncovered.append(lo + i)
+        i = bits.find("0", i + 1)
     return uncovered

@@ -20,6 +20,12 @@ from .witness import MIN_N, find_witness, validate
 #: Ceiling on verify-covering --jobs; larger values are rejected.
 MAX_JOBS = 64
 
+#: Ceiling on min-n0 and explore-problem1 --upto; larger values are
+#: rejected before anything is allocated.  The scan holds a membership
+#: table of upto + 1 bytes (10 MB at the ceiling) and its time grows
+#: with the square of upto.
+MAX_UPTO = 10**7
+
 
 def _parse_seed(text: str) -> list[int]:
     try:
@@ -66,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "min-n0",
         help="largest n <= bound with no 3-AP witness in A (brute force)",
     )
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=int, required=True, help=f"at most {MAX_UPTO}")
 
     p = sub.add_parser("stanley", help="greedy Stanley sequence terms")
     p.add_argument("--order", type=int, required=True)
@@ -89,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--order", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=_parse_seed, required=True)
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--upto", type=int, required=True, help=f"at most {MAX_UPTO}")
 
     return parser
 
@@ -208,9 +214,18 @@ def _cmd_argmax(args) -> int:
     return 0
 
 
+def _upto_too_large(upto: int) -> bool:
+    if upto > MAX_UPTO:
+        print(f"--upto must be at most {MAX_UPTO}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_explore(args) -> int:
     if args.order < 3:
         print("--order must be >= 3", file=sys.stderr)
+        return 2
+    if _upto_too_large(args.upto):
         return 2
     order = args.order + 1
     try:
@@ -257,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "min-n0":
         if args.upto < 1:
             print("--upto must be >= 1", file=sys.stderr)
+            return 2
+        if _upto_too_large(args.upto):
             return 2
         return _cmd_min_n0(args)
     if args.command == "stanley":

@@ -4,9 +4,9 @@ Everything here works against any object exposing the IntegerSequence
 protocol (strictly increasing iteration + membership), so the same
 oracle validates the block construction, Stanley sequences and ad-hoc
 sets.  Single queries scan the common difference d = 1, 2, ...
-directly; bulk range scans go through the kernel backend, which walks
-candidate b-terms over a membership table instead (same verdicts,
-much cheaper).
+directly.  Bulk range scans go through _kernels.uncovered_scan, which
+handles each d for every n at once by AND-ing shifted big-int bitsets
+of the members (same verdicts, much cheaper).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def uncovered_in_range(
     """All n in [lo, hi] that covers() would report as uncovered.
 
     Materializes seq up to hi into a membership table once and hands
-    the scan to the kernel backend.
+    it to the bitset scan in _kernels.
     """
     if k < 3:
         raise ValueError(f"progression length must be >= 3, got {k}")

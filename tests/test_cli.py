@@ -103,6 +103,28 @@ def test_min_n0(capsys):
     assert out == "n0=2 scanned_to=5000\n"
 
 
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a too-large --upto must be rejected before any work")
+
+
+@pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
+def test_min_n0_upto_too_large(capsys, monkeypatch, upto):
+    monkeypatch.setattr(cli.oracle, "min_threshold", _refuse_to_run)
+    code, out, err = run(capsys, "min-n0", "--upto", str(upto))
+    assert code == 2 and out == ""
+    assert err == f"--upto must be at most {cli.MAX_UPTO}\n"
+
+
+@pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
+def test_explore_problem1_upto_too_large(capsys, monkeypatch, upto):
+    monkeypatch.setattr(cli.stanley, "generate_upto", _refuse_to_run)
+    code, out, err = run(
+        capsys, "explore-problem1", "--order", "3", "--seed", "0,1", "--upto", str(upto)
+    )
+    assert code == 2 and out == ""
+    assert err == f"--upto must be at most {cli.MAX_UPTO}\n"
+
+
 def test_stanley(capsys):
     code, out, _ = run(
         capsys, "stanley", "--order", "3", "--seed", "0,1", "--count", "8"

@@ -1,33 +1,21 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcover import _kernels, witness
-from apcover._kernels import _pykernels
-from apcover.sequence import iter_range
+import brute
+from apcover import _kernels, stanley, witness
 from apcover.witness import find_witness, validate
-
-compiled = pytest.mark.skipif(
-    _kernels._ckernels is None, reason="compiled kernel not built"
-)
-
-
-def _table_for(limit):
-    table = bytearray(limit + 1)
-    elements = []
-    for v in iter_range(1, limit):
-        table[v] = 1
-        elements.append(v)
-    return table, elements
 
 
 def test_pure_sweep_clean_small():
-    assert _pykernels.witness_sweep(32, 3000) == []
+    assert _kernels.witness_sweep(32, 3000) == []
 
 
 def test_pure_sweep_rejects_low_start():
     with pytest.raises(ValueError):
-        _pykernels.witness_sweep(1, 100)
+        _kernels.witness_sweep(1, 100)
 
 
 def _per_n(lo, hi):
@@ -49,13 +37,13 @@ WINDOWS = {
 
 @pytest.mark.parametrize("lo, hi", WINDOWS.values(), ids=WINDOWS.keys())
 def test_sweep_matches_per_n_loop(lo, hi):
-    assert _pykernels.witness_sweep(lo, hi) == _per_n(lo, hi)
+    assert _kernels.witness_sweep(lo, hi) == _per_n(lo, hi)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(32, 4**70), st.integers(0, 3_000))
 def test_sweep_matches_per_n_loop_random_windows(lo, width):
-    assert _pykernels.witness_sweep(lo, lo + width) == _per_n(lo, lo + width)
+    assert _kernels.witness_sweep(lo, lo + width) == _per_n(lo, lo + width)
 
 
 @pytest.mark.parametrize(
@@ -72,48 +60,76 @@ def test_sweep_matches_per_n_loop_random_windows(lo, width):
 def test_sweep_catches_broken_pair_table(monkeypatch, digit_row, lead_row):
     monkeypatch.setitem(witness.DIGIT_PAIRS, *digit_row)
     monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
-    _pykernels._low_tables.cache_clear()
+    _kernels._low_tables.cache_clear()
     for lo, hi in [(32, 20_000), (2**63, 2**63 + 3_000)]:
-        failures = _pykernels.witness_sweep(lo, hi)
+        failures = _kernels.witness_sweep(lo, hi)
         assert failures
         assert failures == _per_n(lo, hi)
 
 
-@compiled
-def test_backends_agree_on_uncovered_scan():
-    c = _kernels._ckernels
-    table, elements = _table_for(3000)
-    assert c.uncovered_scan(table, elements, 0, 3000, 3) == (
-        _pykernels.uncovered_scan(table, elements, 0, 3000, 3)
-    )
-    evens = list(range(0, 201, 2))
-    etable = bytearray(201)
-    for v in evens:
-        etable[v] = 1
-    assert c.uncovered_scan(etable, evens, 0, 200, 3) == (
-        _pykernels.uncovered_scan(etable, evens, 0, 200, 3)
-    )
-    assert c.uncovered_scan(etable, evens, 0, 200, 4) == (
-        _pykernels.uncovered_scan(etable, evens, 0, 200, 4)
-    )
+def _table_of(values, length):
+    table = bytearray(length)
+    for v in values:
+        table[v] = 1
+    return table
+
+
+@lru_cache(maxsize=None)
+def _brute_uncovered(values, lo, hi, k):
+    member_set = set(values)
+    return [n for n in range(lo, hi + 1) if not brute.all_cover_diffs(member_set, n, k)]
+
+
+A_3000 = tuple(brute.elements_upto(3_000))
+EVENS_200 = tuple(range(0, 201, 2))
+STANLEY_2000 = {
+    order: tuple(stanley.generate_upto([0, 1], order, 2_000))
+    for order in (4, 5, 6)
+}
+
+SCANS = {
+    "A-k3": (A_3000, 3_001, 0, 3_000, 3),
+    "evens-k3": (EVENS_200, 201, 0, 200, 3),
+    "evens-k4": (EVENS_200, 201, 0, 200, 4),
+    **{
+        f"stanley{order}-k{k}": (STANLEY_2000[order], 2_001, 0, 2_000, k)
+        for order in (4, 5, 6)
+        for k in (3, 4, 5)
+    },
+    # hi is covered only by the largest difference hi // (k-1)
+    "largest-d-k3": ((0, 150), 301, 0, 300, 3),
+    "largest-d-k4": ((0, 100, 200), 301, 0, 300, 4),
+    "A-window-lo>0": (A_3000, 3_001, 1_700, 2_345, 3),
+    "A-table-longer-than-hi": (A_3000, 3_001, 0, 1_000, 3),
+    "stanley5-window-longer-table-k4": (STANLEY_2000[5], 2_001, 37, 1_234, 4),
+}
+
+
+@pytest.mark.parametrize("values, length, lo, hi, k", SCANS.values(), ids=SCANS.keys())
+def test_scan_matches_brute(values, length, lo, hi, k):
+    # windows are checked against the brute list of the whole table
+    whole = _brute_uncovered(values, 0, length - 1, k)
+    expected = [n for n in whole if lo <= n <= hi]
+    table = _table_of(values, length)
+    assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.integers(0, 300)),
+    st.integers(3, 5),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+def test_scan_matches_brute_random_sets(members, k, x, y):
+    lo, hi = min(x, y), max(x, y)
+    values = tuple(sorted(members))
+    table = _table_of(values, 301)
+    expected = _brute_uncovered(values, lo, hi, k)
+    assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
 
 
 def test_scan_table_must_cover_range():
-    table, elements = _table_for(100)
+    values = list(EVENS_200[:51])
     with pytest.raises(ValueError):
-        _pykernels.uncovered_scan(table, elements, 0, 200, 3)
-    if _kernels._ckernels is not None:
-        with pytest.raises(ValueError):
-            _kernels._ckernels.uncovered_scan(table, elements, 0, 200, 3)
-
-
-def test_dispatcher_routes_huge_bounds_to_pure():
-    # beyond machine words the sweep stays exact
-    lo = 1 << 63
-    assert _kernels.witness_sweep(lo, lo + 200) == []
-
-
-def test_dispatcher_witness_sweep_matches_backends():
-    assert _kernels.witness_sweep(32, 2000) == _pykernels.witness_sweep(
-        32, 2000
-    )
+        _kernels.uncovered_scan(_table_of(values, 101), values, 0, 200, 3)
