@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .sequence import decompose
+from .sequence import level_of
 from .witness import DIGIT_PAIRS, MIN_N, find_witness, level_for
 
 BACKEND = "python"
@@ -35,12 +35,6 @@ def _low_tables(digit_pairs: tuple[tuple[int, int], ...]):
     return tuple(tables)
 
 
-def _level(v: int) -> int:
-    """Level of v in A, or -1 when v is not a member."""
-    e = decompose(v)
-    return -1 if e is None else e.level
-
-
 def witness_sweep(lo: int, hi: int) -> list[int]:
     """All n in [lo, hi] whose constructed witness fails validation.
 
@@ -53,7 +47,7 @@ def witness_sweep(lo: int, hi: int) -> list[int]:
     above position t are fixed inside a block, so each a and b is the
     block's high part, read off find_witness at the block's first n,
     plus a low part from _low_tables.  Every n still gets the checks
-    validate makes; membership of a and b is decided by decompose, once
+    validate makes; membership of a and b is decided by level_of, once
     per distinct low part in the block.
     """
     if lo < MIN_N:
@@ -78,8 +72,8 @@ def _sweep_block(level, base, start, stop, low) -> list[int]:
     high_a = w.a - low[1][0]
     low_b = low[0][start - base:stop - base + 1]
     low_a = low[1][start - base:stop - base + 1]
-    ok_b = {v for v in set(low_b) if _level(high_b + v) == level}
-    ok_a = {v for v in set(low_a) if _level(high_a + v) in (level, level - 1)}
+    ok_b = {v for v in set(low_b) if level_of(high_b + v) == level}
+    ok_a = {v for v in set(low_a) if level_of(high_a + v) in (level, level - 1)}
     return [
         n
         for n, v_b, v_a in zip(range(start, stop + 1), low_b, low_a)

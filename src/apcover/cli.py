@@ -26,6 +26,11 @@ MAX_JOBS = 64
 #: with the square of upto.
 MAX_UPTO = 10**7
 
+#: Ceiling on stanley --count, checked before any term is generated.
+#: Time, not memory, is the practical limit: it grows faster than the
+#: square of count (4000 terms take about 30 s).
+MAX_COUNT = 10**5
+
 
 def _parse_seed(text: str) -> list[int]:
     try:
@@ -77,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stanley", help="greedy Stanley sequence terms")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True, help=f"at most {MAX_COUNT}")
 
     p = sub.add_parser("density", help="density samples at the q-points")
     p.add_argument("--max-level", type=int, required=True)
@@ -175,6 +180,8 @@ def _cmd_min_n0(args) -> int:
 
 
 def _cmd_stanley(args) -> int:
+    if _too_large("--count", args.count, MAX_COUNT):
+        return 2
     try:
         terms = stanley.generate(args.seed, args.order, args.count)
     except ValueError as err:
@@ -214,9 +221,9 @@ def _cmd_argmax(args) -> int:
     return 0
 
 
-def _upto_too_large(upto: int) -> bool:
-    if upto > MAX_UPTO:
-        print(f"--upto must be at most {MAX_UPTO}", file=sys.stderr)
+def _too_large(option: str, value: int, ceiling: int) -> bool:
+    if value > ceiling:
+        print(f"{option} must be at most {ceiling}", file=sys.stderr)
         return True
     return False
 
@@ -225,7 +232,7 @@ def _cmd_explore(args) -> int:
     if args.order < 3:
         print("--order must be >= 3", file=sys.stderr)
         return 2
-    if _upto_too_large(args.upto):
+    if _too_large("--upto", args.upto, MAX_UPTO):
         return 2
     order = args.order + 1
     try:
@@ -273,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.upto < 1:
             print("--upto must be >= 1", file=sys.stderr)
             return 2
-        if _upto_too_large(args.upto):
+        if _too_large("--upto", args.upto, MAX_UPTO):
             return 2
         return _cmd_min_n0(args)
     if args.command == "stanley":

@@ -10,12 +10,18 @@ worth 1..4 and whose l low digits are all 1 or 2.  Levels are ordered
 (max T_l < min T_{l+1}) and |T_l| = 4 * 2**l, which makes membership,
 counting, ranking and unranking all cheap digit work on exact integers
 of any size.
+
+Membership is decided in one place, level_of, by a few operations on
+the whole integer with no loop over digits; member, decompose,
+witness.validate and the witness sweep all build on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+from .base4 import from_digits, to_digits
 
 
 @dataclass(frozen=True)
@@ -49,62 +55,40 @@ class Element:
 
 def encode(e: Element) -> int:
     """Integer value lead * 4**level + sum(low[i] * 4**i)."""
-    n = e.lead << (2 * e.level)
-    for i, d in enumerate(e.low):
-        n += d << (2 * i)
-    return n
+    return (e.lead << (2 * e.level)) + from_digits(list(e.low))
 
 
-def decompose(n: int) -> Element | None:
-    """Canonical Element for n, or None when n is not in A.
+def level_of(n: int) -> int:
+    """Level of n in A, or -1 when n is not in A.
 
-    With L = floor(log4 n) the only possible levels are L (lead digit
-    1..3) and L-1 (lead digit 4); a candidate is accepted when every
-    low digit is 1 or 2.  At most one candidate can succeed.
+    Levels are ordered, so the only candidate is _top_level(n), the
+    largest level whose smallest member is <= n.  A base-4 digit is 1
+    or 2 exactly when its two bits differ, so all `level` low digits
+    pass at once when (low ^ low >> 1) has every even bit set.  The
+    lead n >> 2*level needs no check of its own: it is at least 1, and
+    it can be 5 only with n < level_min(level + 1), which forces a low
+    digit 0 that the digit test rejects.
     """
     if n < 1:
-        return None
-    top = (n.bit_length() - 1) >> 1
-    for level in (top, top - 1):
-        if level < 0:
-            continue
-        lead = n >> (2 * level)
-        if not (1 <= lead <= 4) or (level == top and lead == 4):
-            continue
-        rest = n - (lead << (2 * level))
-        low = []
-        for _ in range(level):
-            rest, d = divmod(rest, 4)
-            if d not in (1, 2):
-                low = None
-                break
-            low.append(d)
-        if low is not None:
-            return Element(level=level, lead=lead, low=tuple(low))
-    return None
+        return -1
+    level = _top_level(n)
+    ones = ((1 << 2 * level) - 1) // 3  # the even bit of each low digit
+    low = n & (3 * ones)
+    return level if (low ^ low >> 1) & ones == ones else -1
 
 
 def member(n: int) -> bool:
-    """True iff n is in A.  Same digit test as decompose, allocation-free."""
-    if n < 1:
-        return False
-    top = (n.bit_length() - 1) >> 1
-    for level in (top, top - 1):
-        if level < 0:
-            continue
-        lead = n >> (2 * level)
-        if not (1 <= lead <= 4) or (level == top and lead == 4):
-            continue
-        rest = n - (lead << (2 * level))
-        ok = True
-        for _ in range(level):
-            rest, d = divmod(rest, 4)
-            if d not in (1, 2):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    """True iff n is in A."""
+    return level_of(n) >= 0
+
+
+def decompose(n: int) -> Element | None:
+    """Canonical Element for n, or None when n is not in A."""
+    level = level_of(n)
+    if level < 0:
+        return None
+    low = to_digits(n)[:level]
+    return Element(level=level, lead=n >> (2 * level), low=tuple(low))
 
 
 def level_min(level: int) -> int:
@@ -161,16 +145,13 @@ def element_at(j: int) -> int:
     """
     if j < 1:
         raise ValueError(f"rank must be >= 1, got {j}")
-    level = 0
-    while 4 * ((1 << (level + 1)) - 1) < j:
-        level += 1
+    level = (((j - 1) >> 2) + 1).bit_length() - 1
     r = j - 4 * ((1 << level) - 1) - 1
     lead = 1 + (r >> level)
     bits = r & ((1 << level) - 1)
-    n = lead << (2 * level)
-    for i in range(level):
-        n += (1 + ((bits >> i) & 1)) << (2 * i)
-    return n
+    ones = ((1 << 2 * level) - 1) // 3
+    # read in base 4, the binary string of bits puts bit i at digit i
+    return (lead << (2 * level)) + ones + int(f"{bits:b}", 4)
 
 
 def iter_range(lo: int, hi: int) -> Iterator[int]:

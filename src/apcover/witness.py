@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import decompose
+from .sequence import level_of
 
 #: m -> (lead of b, lead of a); the two leads average to m.
 LEAD_PAIRS: dict[int, tuple[int, int]] = {
@@ -89,11 +89,9 @@ def validate(w: Witness) -> bool:
         return False
     if w.a + w.n != 2 * w.b:
         return False
-    ea = decompose(w.a)
-    eb = decompose(w.b)
-    if ea is None or eb is None:
+    level_a, level_b = level_of(w.a), level_of(w.b)
+    if level_a < 0 or level_b < 0:
         return False
-    if w.level is not None:
-        if eb.level != w.level or ea.level not in (w.level - 1, w.level):
-            return False
-    return True
+    if w.level is None:
+        return True
+    return level_b == w.level and level_a in (w.level - 1, w.level)

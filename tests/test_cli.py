@@ -104,7 +104,7 @@ def test_min_n0(capsys):
 
 
 def _refuse_to_run(*args, **kwargs):
-    raise AssertionError("a too-large --upto must be rejected before any work")
+    raise AssertionError("a value above its ceiling must be rejected before any work")
 
 
 @pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
@@ -131,6 +131,16 @@ def test_stanley(capsys):
     )
     assert code == 0
     assert out == "0 1 3 4 9 10 12 13\n"
+
+
+@pytest.mark.parametrize("count", [cli.MAX_COUNT + 1, 10**30])
+def test_stanley_count_too_large(capsys, monkeypatch, count):
+    monkeypatch.setattr(cli.stanley, "generate", _refuse_to_run)
+    code, out, err = run(
+        capsys, "stanley", "--order", "3", "--seed", "0,1", "--count", str(count)
+    )
+    assert code == 2 and out == ""
+    assert err == f"--count must be at most {cli.MAX_COUNT}\n"
 
 
 def test_stanley_bad_seed(capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from apcover.base4 import from_digits, to_digits
 from apcover.sequence import (
     BLOCK_SEQUENCE,
     Element,
@@ -13,6 +14,7 @@ from apcover.sequence import (
     iter_range,
     level_max,
     level_min,
+    level_of,
     member,
 )
 
@@ -84,6 +86,48 @@ def test_member_iff_decompose(n):
     assert member(n) == (decompose(n) is not None)
 
 
+def level_by_digits(n):
+    """Level of n straight from its base-4 digits, or -1.
+
+    A lead worth 1..4 fills one top digit (1..3) or two (4 is [0, 1]),
+    and every digit below it must be 1 or 2.
+    """
+    digits = to_digits(n)
+    for level in (len(digits) - 1, len(digits) - 2):
+        if level >= 0 and 1 <= from_digits(digits[level:]) <= 4:
+            if set(digits[:level]) <= {1, 2}:
+                return level
+    return -1
+
+
+@st.composite
+def digit_cases(draw, max_level=3000):
+    """lead * 4**level plus low digits: lead 1..5, low digits mostly 1 or 2."""
+    level = draw(st.integers(0, max_level))
+    lead = draw(st.integers(1, 5))
+    twos = draw(st.integers(0, (1 << level) - 1))
+    low = [1 + (twos >> i & 1) for i in range(level)]
+    if level:
+        bad = st.tuples(st.integers(0, level - 1), st.sampled_from([0, 3]))
+        for i, d in draw(st.lists(bad, max_size=3)):
+            low[i] = d
+    return (lead << 2 * level) + from_digits(low)
+
+
+@given(digit_cases())
+@settings(max_examples=300, deadline=None)
+def test_membership_matches_digit_definition(n):
+    level = level_by_digits(n)
+    assert level_of(n) == level
+    assert member(n) == (level >= 0)
+    if level < 0:
+        assert decompose(n) is None
+    else:
+        digits = to_digits(n)
+        lead = from_digits(digits[level:])
+        assert decompose(n) == Element(level, lead, tuple(digits[:level]))
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [(0, 0), (5, 5), (19, 12), (26, 16)],
@@ -126,6 +170,26 @@ def test_element_at_strictly_increasing_to_1e4():
 @settings(max_examples=200)
 def test_rank_unrank_inverse_large(j):
     assert count_leq(element_at(j)) == j
+
+
+@given(st.integers(60, 6000).flatmap(
+    lambda l: st.integers(4 * ((1 << l) - 1) + 1, 4 * ((2 << l) - 1))
+))
+@settings(max_examples=100, deadline=None)
+def test_rank_unrank_inverse_huge(j):
+    assert count_leq(element_at(j)) == j
+
+
+def test_rank_unrank_past_int_str_digit_limit():
+    # level 7200: more decimal digits than int() will parse from a
+    # decimal string by default (4300); element_at reads base 4 only
+    level = 7200
+    j = 5 * 2**level - 4  # lead 1, every low digit 2
+    n = element_at(j)
+    assert n == (1 << 2 * level) + 2 * (4**level - 1) // 3
+    assert n > 10**4300
+    assert level_of(n) == level
+    assert count_leq(n) == j
 
 
 def test_iter_range_examples():

@@ -71,6 +71,13 @@ def test_validate_checks_declared_level():
     w = find_witness(100)
     assert validate(w)
     assert not validate(Witness(a=w.a, b=w.b, n=w.n, level=w.level + 1, m=w.m))
+    assert not validate(Witness(a=w.a, b=w.b, n=w.n, level=w.level - 1, m=w.m))
+    # a = 1 sits two levels below b = 21: a valid AP, but not a construction's
+    assert validate(Witness(a=1, b=21, n=41))
+    assert not validate(Witness(a=1, b=21, n=41, level=2))
+    # non-members fail whatever level is declared
+    assert not validate(Witness(a=19, b=21, n=23, level=0))
+    assert not validate(Witness(a=19, b=20, n=21, level=-1))
 
 
 @given(st.integers(32, 2**40))
