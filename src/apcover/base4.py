@@ -7,14 +7,22 @@ and canonical: no trailing zero digit, the empty list encodes 0.
 from __future__ import annotations
 
 
+#: byte value -> its four base-4 digits, least significant first.
+_BYTE_DIGITS = [(b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6) for b in range(256)]
+
+
 def to_digits(n: int) -> list[int]:
-    """Canonical little-endian base-4 digits of n (empty for 0)."""
+    """Canonical little-endian base-4 digits of n (empty for 0).
+
+    Read four digits per byte of n's little-endian bytes, so the cost is
+    linear in the digit count.
+    """
     if n < 0:
         raise ValueError(f"natural number required, got {n}")
-    digits = []
-    while n:
-        n, d = divmod(n, 4)
-        digits.append(d)
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    digits = [d for b in raw for d in _BYTE_DIGITS[b]]
+    while digits and not digits[-1]:
+        digits.pop()
     return digits
 
 

@@ -2,12 +2,18 @@
 
 Starting from a k-AP-free seed, each new term is the smallest integer
 above the last one that keeps the set free of k-term arithmetic
-progressions.  The generator is deliberately definitional: no digit
-characterizations or closed-form shortcuts, those belong in tests as
-cross-checks.
+progressions.  `greedy_next` is that rule as a stateless one-step
+definition.  `generate` and `generate_upto` get the same terms from one
+incremental sieve: when a term t is appended it marks every value t + d
+that would end a k-AP whose other terms t, t - d, ..., t - (k-2)d are
+already present, so the next term is the first unmarked value.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import islice, takewhile
+from typing import Iterator
 
 from .oracle import creates_ap, has_k_ap
 
@@ -32,6 +38,60 @@ def greedy_next(produced: list[int], k: int = 3) -> int:
     return candidate
 
 
+def _extend(seed: list[int], k: int) -> Iterator[int]:
+    """Yield the terms after a checked seed, one at a time, forever.
+
+    sieve[o] = 1 forbids base + o, where base = seed[-1] + 1 is the first
+    candidate.  Before t marks, the sieve doubles until it holds offset
+    2(t - base) + 1, the farthest mark of a pair s < t with s >= seed[-1].
+    A mark beyond the sieve comes from an earlier seed term across a gap
+    inside the seed; it waits in `far` until the sieve grows over it, so
+    no allocation grows with that gap.
+    """
+    base = seed[-1] + 1
+    sieve = bytearray(64)
+    far: set[int] = set()
+    terms: list[int] = []
+    present: set[int] = set()
+
+    def grow() -> None:
+        sieve.extend(bytes(len(sieve)))
+        inside = [x for x in far if x - base < len(sieve)]
+        far.difference_update(inside)
+        for x in inside:
+            sieve[x - base] = 1
+
+    def add(t: int) -> None:
+        # earlier terms s = t - d with t - (k-2)d >= 0, kept while
+        # t - jd is a term for j = 2..k-2; each forbids t + d = 2t - s
+        ss = terms[bisect_left(terms, t - t // (k - 2)):]
+        for j in range(2, k - 1):
+            ss = [s for s in ss if t - j * (t - s) in present]
+        terms.append(t)
+        present.add(t)
+        while len(sieve) <= 2 * (t - base) + 1:
+            grow()
+        c = 2 * t - base  # the mark forbidden by s sits at c - s
+        del ss[bisect_right(ss, c):]  # below base: a seed pair
+        cut = bisect_right(ss, c - len(sieve))
+        far.update(base + c - s for s in ss[:cut])
+        del ss[:cut]
+        for s in ss:
+            sieve[c - s] = 1
+
+    for t in seed:
+        add(t)
+    pos = 0
+    while True:
+        o = sieve.find(0, pos)
+        while o < 0:
+            grow()
+            o = sieve.find(0, pos)
+        yield base + o
+        add(base + o)
+        pos = o + 1
+
+
 def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
     """First `count` terms of the Stanley sequence of order k from seed."""
     seed = _check_seed(seed, k)
@@ -39,10 +99,7 @@ def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
         raise ValueError(
             f"count {count} is below the seed length {len(seed)}"
         )
-    terms = seed
-    while len(terms) < count:
-        terms.append(greedy_next(terms, k))
-    return terms
+    return seed + list(islice(_extend(seed, k), count - len(seed)))
 
 
 def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
@@ -50,9 +107,4 @@ def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
     seed = _check_seed(seed, k)
     if seed and seed[-1] > limit:
         raise ValueError(f"seed already exceeds limit {limit}")
-    terms = seed
-    while True:
-        nxt = greedy_next(terms, k)
-        if nxt > limit:
-            return terms
-        terms.append(nxt)
+    return seed + list(takewhile(lambda t: t <= limit, _extend(seed, k)))

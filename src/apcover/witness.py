@@ -63,18 +63,27 @@ def level_for(n: int) -> int:
 
 
 def find_witness(n: int) -> Witness:
-    """Canonical witness for n >= 32, built digit by digit from the tables."""
+    """Canonical witness for n >= 32, built from the tables.
+
+    The low digits are mapped all at once: mask_d has a 1 at the bottom
+    of every digit position where n's digit is d, so b's low part is
+    the sum of v_b * mask_d over the four table rows, and a's likewise.
+    """
     level = level_for(n)
     m = n >> (2 * level)
     rem = n - (m << (2 * level))
+    ones = ((1 << (2 * level)) - 1) // 3
+    low_bit = rem & ones
+    high_bit = (rem >> 1) & ones
+    both = low_bit & high_bit
+    masks = (ones ^ (low_bit | high_bit), low_bit ^ both, high_bit ^ both, both)
     lead_b, lead_a = LEAD_PAIRS[m]
     b = lead_b << (2 * level)
     a = lead_a << (2 * level)
-    for i in range(level):
-        rem, d = divmod(rem, 4)
+    for d, mask in enumerate(masks):
         v_b, v_a = DIGIT_PAIRS[d]
-        b += v_b << (2 * i)
-        a += v_a << (2 * i)
+        b += v_b * mask
+        a += v_a * mask
     return Witness(a=a, b=b, n=n, level=level, m=m)
 
 

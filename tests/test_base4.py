@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apcover.base4 import digit_at, from_digits, to_digits
@@ -45,6 +45,27 @@ def test_round_trip(n):
     digits = to_digits(n)
     assert from_digits(digits) == n
     assert all(0 <= d <= 3 for d in digits)
+
+
+def divmod_digits(n):
+    """The definition: repeated division by 4."""
+    digits = []
+    while n:
+        n, d = divmod(n, 4)
+        digits.append(d)
+    return digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(60, 6000).flatmap(lambda l: st.integers(4**l, 4 ** (l + 1) - 1)))
+@example(4**60)
+@example(4**64 - 1)
+@example(1 << 1000)
+@example(4**6000 + 3)
+def test_to_digits_matches_divmod_huge(n):
+    digits = to_digits(n)
+    assert digits == divmod_digits(n)
+    assert from_digits(digits) == n
 
 
 @given(st.integers(1, 10**9))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from apcover import cli
+from apcover.stanley import greedy_next
 
 
 def run(capsys, *argv):
@@ -143,6 +144,20 @@ def test_stanley_count_too_large(capsys, monkeypatch, count):
     assert err == f"--count must be at most {cli.MAX_COUNT}\n"
 
 
+def test_stanley_sparse_seed(capsys):
+    # the seed's gap of 10^20 must cost neither memory nor time
+    seed = [0, 10**20]
+    code, out, _ = run(
+        capsys, "stanley", "--order", "3", "--seed", "0,100000000000000000000",
+        "--count", "50",
+    )
+    assert code == 0
+    terms = list(seed)
+    while len(terms) < 50:
+        terms.append(greedy_next(terms, 3))
+    assert out == " ".join(map(str, terms)) + "\n"
+
+
 def test_stanley_bad_seed(capsys):
     code, _, err = run(
         capsys, "stanley", "--order", "3", "--seed", "0,1,2", "--count", "5"
@@ -200,6 +215,33 @@ def test_explore_problem1(capsys):
     first = out.splitlines()[0]
     assert first.startswith("stanley_order=4 ")
     assert "scanned_to=200" in first
+
+
+@pytest.mark.parametrize(
+    "order, upto, expected",
+    [
+        (
+            "3",
+            "10000",
+            "stanley_order=4 terms=1085 max_term=10000 scanned_to=10000 uncovered=4\n"
+            "uncovered: 0 1 5 135\n",
+        ),
+        (
+            "4",
+            "4000",
+            "stanley_order=5 terms=1409 max_term=4000 scanned_to=4000 uncovered=37\n"
+            "uncovered: 0 1 2 5 6 10 25 27 30 31 50 125 135 150 152 155 156 250 625"
+            " 675 750 760 775 777 780 781 1250 3125 3375 3750 3800 3875 3885 3900"
+            " 3902 3905 3906\n",
+        ),
+    ],
+)
+def test_explore_problem1_frozen(capsys, order, upto, expected):
+    code, out, _ = run(
+        capsys, "explore-problem1", "--order", order, "--seed", "0,1", "--upto", upto
+    )
+    assert code == 0
+    assert out == expected
 
 
 def test_explore_problem1_bad_seed(capsys):

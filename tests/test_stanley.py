@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import brute
 from apcover.oracle import has_k_ap
@@ -68,3 +70,71 @@ def test_seed_rejections():
         generate([-2, 0], 3, 5)
     with pytest.raises(ValueError):
         generate([0, 1], 3, 1)  # count below seed length
+
+
+def one_step(seed, k, count):
+    """The definition: greedy_next applied once per term."""
+    terms = list(seed)
+    while len(terms) < count:
+        terms.append(greedy_next(terms, k))
+    return terms
+
+
+@st.composite
+def stanley_cases(draw):
+    """(seed, k, count): a small AP-free seed, often followed by a gap.
+
+    A gap of 10^18 or more sends every mark from the terms before it far
+    beyond the sieve; a gap of 20..200 is one the terms later reach.
+    """
+    k = draw(st.integers(3, 5))
+    seed = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
+    gap = draw(st.sampled_from([None, "near", "far"]))
+    if gap is not None:
+        step = draw(
+            st.integers(20, 200) if gap == "near" else st.integers(10**18, 10**21)
+        )
+        tail = draw(st.sets(st.integers(0, 30), min_size=1, max_size=3))
+        seed += sorted(seed[-1] + step + x for x in tail)
+    assume(not has_k_ap(seed, k))
+    return seed, k, len(seed) + draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stanley_cases())
+def test_generators_match_definition(case):
+    seed, k, count = case
+    terms = generate(seed, k, count)
+    assert terms == one_step(seed, k, count)
+    assert terms == brute.stanley_naive(seed, k, count)
+    assert generate_upto(seed, k, terms[-1]) == terms
+
+
+@pytest.mark.parametrize(
+    "seed, k",
+    [([0, 1], 3), ([0, 1], 4), ([0, 1], 5), ([0, 4, 5], 3), ([0, 300], 3),
+     ([0, 10**20], 3), ([0, 10**20], 4)],
+)
+def test_generate_upto_limit_at_and_below_a_term(seed, k):
+    terms = generate(seed, k, 300)
+    for i in (len(seed), 17, 151, 299):
+        assert generate_upto(seed, k, terms[i]) == terms[: i + 1]
+        assert generate_upto(seed, k, terms[i] - 1) == terms[:i]
+
+
+@pytest.mark.parametrize(
+    "seed, k",
+    [([0, 300], 3), ([0, 1, 700], 3), ([0, 2, 500, 503], 4), ([1, 400], 5)],
+)
+def test_seed_gap_marks_reached(seed, k):
+    # the terms after the gap run past twice its width, so the marks the
+    # early seed terms left beyond the sieve come into play
+    terms = generate(seed, k, 400)
+    assert terms[-1] > 2 * seed[-1]
+    assert terms == one_step(seed, k, 400)
+
+
+def test_base3_closed_form_2000_terms():
+    # from 0, 1 the order-3 terms are the numbers with base-3 digits 0/1
+    terms = generate([0, 1], 3, 2000)
+    assert terms == [int(bin(i)[2:], 3) for i in range(2000)]

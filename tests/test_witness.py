@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apcover.base4 import to_digits
 from apcover.sequence import decompose
 from apcover.witness import (
     DIGIT_PAIRS,
@@ -102,3 +103,24 @@ def test_huge_witness():
     w = find_witness(n)
     assert validate(w)
     assert w.a + w.n == 2 * w.b
+
+
+def digitwise_witness(n):
+    """(a, b) built one base-4 digit at a time from the pair tables."""
+    level = level_for(n)
+    digits = to_digits(n)
+    lead_b, lead_a = LEAD_PAIRS[n >> (2 * level)]
+    b, a = lead_b << (2 * level), lead_a << (2 * level)
+    for i, d in enumerate(digits[:level]):
+        b += DIGIT_PAIRS[d][0] << (2 * i)
+        a += DIGIT_PAIRS[d][1] << (2 * i)
+    return a, b
+
+
+@given(st.integers(100, 1000).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e - 1)))
+@settings(max_examples=100, deadline=None)
+def test_witness_valid_for_huge_n(n):
+    # n of 100..1000 decimal digits
+    w = find_witness(n)
+    assert validate(w)
+    assert (w.a, w.b) == digitwise_witness(n)
