@@ -32,6 +32,20 @@ MAX_UPTO = 10**7
 #: RSS, 10^4 terms about 4 s and 24 MB, 3 * 10^4 terms 35 s and 39 MB).
 MAX_COUNT = 10**5
 
+#: Ceiling on argmax --upto, checked before the search starts.  The
+#: search time grows about with the cube of the digit count.  Below
+#: 4**256 (level 255) it took 0.14-0.37 s over q(1, l), q(1, l) - 1,
+#: q(2, l) - 1, q(4, l), level_max(l), 4**(l+1) - 1 and random bounds;
+#: 10**200 takes 0.54 s and 10**1000 56 s.
+MAX_ARGMAX = 4**256
+
+#: Ceiling on density --max-level, checked before any sample is made.
+#: At 4000 levels the CLI takes 2.0 s (CSV) and 3.5 s (JSON lines) at
+#: 43 MB peak RSS, growing with the square of the level; every printed
+#: value stays under 2500 decimal digits, far from the 4300 digits past
+#: which Python refuses to print an int (reached near level 7140).
+MAX_LEVEL = 4000
+
 
 def _parse_seed(text: str) -> list[int]:
     try:
@@ -86,14 +100,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help=f"at most {MAX_COUNT}")
 
     p = sub.add_parser("density", help="density samples at the q-points")
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument(
+        "--max-level", type=int, required=True, help=f"at most {MAX_LEVEL}"
+    )
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--jsonl", action="store_true")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("argmax", help="n <= bound maximizing A(n)/sqrt(n)")
-    p.add_argument("--upto", type=int, required=True)
+    p.add_argument(
+        "--upto", type=int, required=True, help=f"at most {MAX_ARGMAX}"
+    )
 
     p = sub.add_parser(
         "explore-problem1",
@@ -196,6 +214,8 @@ def _cmd_density(args) -> int:
     if args.max_level < 0:
         print("--max-level must be nonnegative", file=sys.stderr)
         return 2
+    if _too_large("--max-level", args.max_level, MAX_LEVEL):
+        return 2
     prof = density.profile(args.max_level)
     writer = density.write_jsonl if args.jsonl else density.write_csv
     if args.out is not None:
@@ -214,6 +234,8 @@ def _cmd_density(args) -> int:
 def _cmd_argmax(args) -> int:
     if args.upto < 1:
         print("--upto must be >= 1", file=sys.stderr)
+        return 2
+    if _too_large("--upto", args.upto, MAX_ARGMAX):
         return 2
     n = density.argmax_upto(args.upto)
     count = count_leq(n)
@@ -271,7 +293,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.j < 1:
             print("rank must be >= 1", file=sys.stderr)
             return 2
-        print(element_at(args.j))
+        try:
+            text = str(element_at(args.j))
+        except ValueError:  # more decimal digits than int -> str allows
+            print("that member has too many digits to print", file=sys.stderr)
+            return 2
+        print(text)
         return 0
     if args.command == "witness":
         return _cmd_witness(args)

@@ -3,9 +3,12 @@
 The extremal points are the all-twos members q(lead, level) of each
 block, where the count has the closed form (lead+4)*2**level - 4 and
 the squared ratio tends to 3*(lead+4)**2 / (3*lead+2); the largest of
-the four limits, 15, is reached at lead 1.  Every ordering decision is
-made by exact integer cross-multiplication (count**2 * n' versus
-count'**2 * n); floats appear only in exports.
+the four limits, 15, is reached at lead 1.  argmax_upto finds the exact
+maximizer up to any bound by branch and bound over A's digit tree: a
+subtree of members in [lo, hi] can reach no ratio above
+A(min(hi, bound))**2 / lo.  Every ordering decision is made by exact
+integer cross-multiplication (count**2 * n' versus count'**2 * n);
+floats appear only in exports.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
 
-from .sequence import count_leq, element_at
+from .sequence import count_leq
 
 
 @dataclass(frozen=True)
@@ -121,19 +124,42 @@ def profile(max_level: int) -> DensityProfile:
 def argmax_upto(n_max: int) -> int:
     """The n <= n_max maximizing A(n)/sqrt(n); smallest such n on ties.
 
-    Only members of A are scanned: between consecutive members the
-    count is flat while n grows, so the ratio strictly decreases.
-    At the j-th member the count is j itself, which makes the scan a
-    single rank walk.
+    Only members of A can win: between consecutive members the count
+    is flat while n grows, so the ratio strictly decreases.  The
+    members are searched by branch and bound over A's digit tree.  A
+    node fixes a level, a lead and the low digits above position f;
+    its members span [lo, hi], with 1 in every free digit for lo and
+    2 for hi.  None of them has a squared ratio above
+    A(min(hi, n_max))**2 / lo, so a node is pruned when that bound is
+    below the best ratio found, or equal to it with lo >= best n (no
+    smaller tie inside).  Higher levels, lead 1 and digit 2 go first,
+    which finds the large ratios early.  A leaf is one member v <= n_max whose
+    bound is its own ratio, so a leaf that survives the test is a new
+    best.  Every comparison is an integer cross-multiplication.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     best_n, best_count = 1, 1
-    total = count_leq(n_max)
-    for j in range(2, total + 1):
-        n = element_at(j)
-        if j * j * best_n > best_count * best_count * n:
-            best_n, best_count = n, j
+    stack = []  # (prefix, free low digits f, ones(f)); top level on top
+    for level in range((n_max.bit_length() + 1) // 2):  # 4**level <= n_max
+        ones = ((1 << 2 * level) - 1) // 3
+        for lead in (4, 3, 2, 1):
+            stack.append((lead << 2 * level, level, ones))
+    while stack:
+        prefix, f, ones = stack.pop()
+        lo = prefix + ones
+        if lo > n_max:
+            continue
+        count = count_leq(min(prefix + 2 * ones, n_max))
+        lhs, rhs = count * count * best_n, best_count * best_count * lo
+        if lhs < rhs or (lhs == rhs and lo >= best_n):
+            continue
+        if not f:
+            best_n, best_count = lo, count
+            continue
+        f -= 1
+        stack.append((prefix + (1 << 2 * f), f, ones >> 2))
+        stack.append((prefix + (2 << 2 * f), f, ones >> 2))
     return best_n
 
 

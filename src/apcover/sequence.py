@@ -107,12 +107,32 @@ def _top_level(n: int) -> int:
     return ((3 * n + 1).bit_length() - 1) // 2 - 1
 
 
+#: hex digit -> base-4 digit, for hex digits made of two base-4 digits
+#: that are each 0 or 1: packs two binary digits into one base-4 digit.
+_PACK_HEX = str.maketrans("0145", "0123")
+
+
 def count_leq(n: int) -> int:
     """Number of members of A that are <= n (the counting function A(n)).
 
     Levels strictly below the straddling one contribute 4 * (2**l - 1)
-    in closed form; within the straddling level the rank of n is found
-    by one tight digit walk, so a query costs O(log n) even at 4**60.
+    and each lead below n's contributes 2**l, in closed form.  Within
+    the lead, count the members whose low digits are <= n's, with no
+    loop over digits:
+
+    * mask: ~(rest ^ rest >> 1) & ones has the even bit of every low
+      digit that is 0 or 3 (its two bits agree).  The top one is the
+      digit i where the tight walk stops; every digit above it is 1
+      or 2.
+    * pack: a digit 2 above i admits all 2**j members with digit 1
+      there.  The high bits of those digits, read off the hex string
+      with each pair of base-4 digits 0/1 packed into one, are that
+      count shifted down by i + 1.
+    * a stopping digit 3 admits both choices below it (2 << i), a
+      stopping 0 admits none, and with no stopping digit n is itself
+      a member (+ 1).
+
+    Every step is linear in the digit count.
     """
     if n < 1:
         return 0
@@ -122,18 +142,16 @@ def count_leq(n: int) -> int:
     total = 4 * ((1 << level) - 1)
     lead = n >> (2 * level)  # in 1..4 since level_min <= n < level_max
     total += (lead - 1) << level
-    rest = n & ((1 << (2 * level)) - 1)
-    for i in range(level - 1, -1, -1):
-        d = rest >> (2 * i)
-        rest &= (1 << (2 * i)) - 1
-        if d >= 3:
-            # both low-digit choices fall below; nothing stays tight
-            return total + (2 << i)
-        if d == 2:
-            total += 1 << i
-        elif d == 0:
-            return total
-    return total + 1  # every digit matched: n itself is a member
+    ones = ((1 << 2 * level) - 1) // 3  # the even bit of each low digit
+    rest = n & (3 * ones)
+    stop = ((~(rest ^ rest >> 1) & ones).bit_length() - 1) >> 1  # -1: none
+    twos = (rest >> (2 * stop + 3)) & ones  # high bits of the digits above
+    total += int(format(twos, "x").translate(_PACK_HEX), 4) << (stop + 1)
+    if stop < 0:  # every digit matched: n itself is a member
+        return total + 1
+    if (rest >> 2 * stop) & 3 == 3:  # both choices at the stop fall below
+        total += 2 << stop
+    return total
 
 
 def element_at(j: int) -> int:

@@ -56,6 +56,16 @@ def argmax_full_scan(values: list[int], n_max: int) -> int:
     `values` must hold the members <= n_max in increasing order; the
     count is carried incrementally, comparisons are exact integers.
     """
+    return argmax_full_scan_prefixes(values, n_max)[-1]
+
+
+def argmax_full_scan_prefixes(values: list[int], n_max: int) -> list[int]:
+    """[argmax_full_scan(values, m) for m in range(n_max + 1)] in one pass.
+
+    Entry 0 is a placeholder (0); the scan only ever moves forward, so
+    the answer for each m is the best n seen once n = m is reached.
+    """
+    out = [0]
     best_n, best_c = 1, 0
     running, idx = 0, 0
     for n in range(1, n_max + 1):
@@ -66,7 +76,8 @@ def argmax_full_scan(values: list[int], n_max: int) -> int:
             best_c = running
         elif running * running * best_n > best_c * best_c * n:
             best_n, best_c = n, running
-    return best_n
+        out.append(best_n)
+    return out
 
 
 def contains_k_ap(values: list[int], k: int) -> bool:

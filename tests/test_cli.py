@@ -200,6 +200,44 @@ def test_argmax(capsys):
     assert out == "n=26 count=16 ratio=3.13785816221\n"
 
 
+@pytest.mark.parametrize("upto", [cli.MAX_ARGMAX + 1, 10**1000])
+def test_argmax_upto_too_large(capsys, monkeypatch, upto):
+    monkeypatch.setattr(cli.density, "argmax_upto", _refuse_to_run)
+    code, out, err = run(capsys, "argmax", "--upto", str(upto))
+    assert code == 2 and out == ""
+    assert err == f"--upto must be at most {cli.MAX_ARGMAX}\n"
+
+
+def test_argmax_at_ceiling(capsys):
+    code, out, _ = run(capsys, "argmax", "--upto", str(cli.MAX_ARGMAX))
+    assert code == 0
+    q = (1 << 2 * 255) + 2 * (4**255 - 1) // 3  # q(1, 255)
+    assert out.startswith(f"n={q} count={5 * 2**255 - 4} ratio=3.87298334")
+
+
+@pytest.mark.parametrize("level", [cli.MAX_LEVEL + 1, 10**30])
+def test_density_max_level_too_large(capsys, monkeypatch, level):
+    monkeypatch.setattr(cli.density, "profile", _refuse_to_run)
+    code, out, err = run(capsys, "density", "--max-level", str(level))
+    assert code == 2 and out == ""
+    assert err == f"--max-level must be at most {cli.MAX_LEVEL}\n"
+
+
+def test_density_values_at_ceiling_fit_int_str_limit():
+    # the largest value printed at MAX_LEVEL is count**2 (JSON lines'
+    # ratio_num) at lead 4; it must stay below Python's default limit
+    # of 4300 decimal digits for int -> str
+    count = 8 * 2**cli.MAX_LEVEL - 4
+    assert count * count < 10**4299
+
+
+def test_nth_too_large_to_print(capsys):
+    # rank 10**4000 lies at level ~13300: about 8000 decimal digits
+    code, out, err = run(capsys, "nth", str(10**4000))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "too many digits" in err
+
+
 def test_explore_problem1(capsys):
     code, out, _ = run(
         capsys,

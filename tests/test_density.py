@@ -1,10 +1,15 @@
 import io
 import json
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brute
+from apcover import density
 from apcover.density import (
     argmax_upto,
     compare_ratio,
@@ -111,10 +116,93 @@ def test_argmax_upto_small(n_max, expected):
     assert argmax_upto(n_max) == expected
 
 
-def test_argmax_upto_matches_full_scan_to_2000():
-    elements = brute.elements_upto(2000)
-    for n_max in (2, 3, 7, 50, 333, 2000):
-        assert argmax_upto(n_max) == brute.argmax_full_scan(elements, n_max)
+@pytest.mark.parametrize("n_max", [4**30, 10**100], ids=["4^30", "10^100"])
+def test_argmax_upto_visits_quadratically_many_nodes(monkeypatch, n_max):
+    # each node costs one count_leq call; about 0.5-0.7 * level**2 of
+    # them are made here, and a search that stops pruning blows up
+    # exponentially, so it fails here fast instead of running for years
+    level = (n_max.bit_length() - 1) // 2
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        assert len(calls) <= 2 * level**2, "search visits too many nodes"
+        return count_leq(n)
+
+    monkeypatch.setattr(density, "count_leq", counting)
+    density.argmax_upto(n_max)
+
+
+def test_argmax_upto_matches_full_scan_every_n_to_3000():
+    full = brute.argmax_full_scan_prefixes(brute.elements_upto(3000), 3000)
+    for n_max in range(1, 3001):
+        assert argmax_upto(n_max) == full[n_max], n_max
+
+
+def _member_scan(members, counts):
+    """Argmax after each member, first of equal ratios kept; counts[i]
+    is the count at members[i], so this is the argmax over all n."""
+    best_n, best_c, out = 1, 1, []
+    for v, c in zip(members, counts):
+        if c * c * best_n > best_c * best_c * v:
+            best_n, best_c = v, c
+        out.append(best_n)
+    return out
+
+
+_MEMBERS_4_10 = brute.elements_upto(4**10)
+_SCAN_4_10 = _member_scan(_MEMBERS_4_10, range(1, len(_MEMBERS_4_10) + 1))
+
+
+def _member_scan_argmax(n_max):
+    return _SCAN_4_10[bisect_right(_MEMBERS_4_10, n_max) - 1]
+
+
+def test_argmax_upto_at_records_to_4_10():
+    for n in sorted(set(_SCAN_4_10)):
+        for n_max in (n - 1, n, n + 1):
+            if n_max >= 1:
+                assert argmax_upto(n_max) == _member_scan_argmax(n_max), n_max
+
+
+@given(st.integers(1, 4**10 - 1))
+@settings(max_examples=300, deadline=None)
+@example(4**10 - 1)
+def test_argmax_upto_matches_member_scan(n_max):
+    assert argmax_upto(n_max) == _member_scan_argmax(n_max)
+
+
+_MEMBERS_4_5 = brute.elements_upto(4**5)
+
+
+@given(st.lists(st.sampled_from([0, 1, 2]), min_size=104, max_size=104))
+@settings(max_examples=100, deadline=None)
+@example([0] * 104)  # counts 1, 1, 1, 2 at members 1..4: 1 and 4 tie
+def test_argmax_upto_breaks_ties_to_smaller_n(weights):
+    # A has no tied maxima within reach of a scan, so give its members
+    # small weights: every bound still holds for a nondecreasing count
+    # that only rises at members, and equal ratios become common
+    members = _MEMBERS_4_5
+    counts = list(accumulate([1, 0, 0, 1] + weights))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "count_leq", lambda n: counts[bisect_right(members, n) - 1])
+        for v, best in zip(members, _member_scan(members, counts)):
+            assert argmax_upto(v) == best, v
+
+
+def test_argmax_upto_at_q_point_is_the_q_point():
+    for level in range(6, 121):
+        q = q_point(1, level).value
+        assert argmax_upto(q) == q, level
+
+
+@pytest.mark.parametrize(
+    "n_max, level",
+    [(4**30, 29), (4**60, 59), (10**100, 165)],
+    ids=["4^30", "4^60", "10^100"],
+)
+def test_argmax_upto_frozen_at_scale(n_max, level):
+    assert argmax_upto(n_max) == q_point(1, level).value
 
 
 def test_argmax_at_1e6_frozen_and_cross_checked():

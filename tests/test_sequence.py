@@ -136,6 +136,45 @@ def test_count_leq_examples(n, expected):
     assert count_leq(n) == expected
 
 
+def count_leq_by_digit_walk(n):
+    """A(n) by walking the straddling level's digits from the top.
+
+    Full levels below count 4 * (2**l - 1) and each smaller lead 2**l;
+    then a digit 2 admits the 2**i members with digit 1 there, a digit
+    3 admits all 2**(i+1) below it and stops, a digit 0 stops, and n
+    is itself counted when every digit is 1 or 2.
+    """
+    if n < 1:
+        return 0
+    level = 0
+    while level_min(level + 1) <= n:
+        level += 1
+    if n >= level_max(level):
+        return 4 * (2 ** (level + 1) - 1)
+    total = 4 * (2**level - 1) + ((n >> 2 * level) - 1) * 2**level
+    for i in range(level - 1, -1, -1):
+        d = (n >> 2 * i) & 3
+        if d == 3:
+            return total + 2 ** (i + 1)
+        if d == 0:
+            return total
+        total += (d - 1) * 2**i
+    return total + 1
+
+
+@given(digit_cases())
+@settings(max_examples=300, deadline=None)
+def test_count_leq_matches_digit_walk(n):
+    assert count_leq(n) == count_leq_by_digit_walk(n)
+
+
+@pytest.mark.parametrize("level", [*range(12), 60, 500, 2000, 6000])
+def test_count_leq_at_level_edges_matches_digit_walk(level):
+    q = (1 << 2 * level) + 2 * (4**level - 1) // 3  # q(1, level)
+    for n in (level_max(level) - 1, level_max(level), level_max(level) + 1, q - 1):
+        assert count_leq(n) == count_leq_by_digit_walk(n), (level, n)
+
+
 def test_count_leq_matches_brute_prefix():
     counts = brute.prefix_counts(5000)
     for n in range(5001):
