@@ -1,38 +1,17 @@
 """Sweep kernels: the witness sweep and the uncovered scan.
 
-Both are pure Python over exact integers; BACKEND names the only
-backend there is.
+The witness sweep certifies aligned blocks of 4**t consecutive n by
+their first n, so its work grows with the number of levels in the
+range, not with its width.  The uncovered scan is a big-int bitset
+pass per common difference.  Both are pure Python over exact integers;
+BACKEND names the only backend there is.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .sequence import level_of
-from .witness import DIGIT_PAIRS, MIN_N, find_witness, level_for
+from .witness import DIGIT_PAIRS, MIN_N, find_witness, level_for, validate
 
 BACKEND = "python"
-
-#: The sweep walks aligned blocks of 4**BLOCK_DIGITS consecutive n.
-BLOCK_DIGITS = 6
-
-
-@lru_cache(maxsize=4)
-def _low_tables(digit_pairs: tuple[tuple[int, int], ...]):
-    """Low parts of b and a for every remainder, one table pair per width.
-
-    Entry t holds (low_b, low_a), indexed by r in [0, 4**t): the sum of
-    the pair-table images of r's t base-4 digits, which is what
-    find_witness adds below position t.  Keyed by the digit pair rows
-    themselves, so a changed pair table never meets stale tables.
-    """
-    low_b, low_a = (0,), (0,)
-    tables = [(low_b, low_a)]
-    for _ in range(BLOCK_DIGITS):
-        low_b = tuple(4 * x + v_b for x in low_b for v_b, _ in digit_pairs)
-        low_a = tuple(4 * x + v_a for x in low_a for _, v_a in digit_pairs)
-        tables.append((low_b, low_a))
-    return tuple(tables)
 
 
 def witness_sweep(lo: int, hi: int) -> list[int]:
@@ -42,48 +21,43 @@ def witness_sweep(lo: int, hi: int) -> list[int]:
     counterexample to the covering construction.
 
     Equivalent to collecting every n with not validate(find_witness(n)),
-    but walks [lo, hi] in aligned blocks of 4**t consecutive n, with
-    t = min(BLOCK_DIGITS, level).  Level, coarse quotient and the digits
-    above position t are fixed inside a block, so each a and b is the
-    block's high part, read off find_witness at the block's first n,
-    plus a low part from _low_tables.  Every n still gets the checks
-    validate makes; membership of a and b is decided by level_of, once
-    per distinct low part in the block.
+    but walks from lo and validates only the first n of each maximal
+    aligned block of 4**t consecutive n, t <= level - 1, that it meets.
+    That n certifies its whole block when every DIGIT_PAIRS row
+    (v_b, v_a) has v_b, v_a in {1, 2} and v_a + d == 2 * v_b:
+
+    * level, coarse quotient and the digits of n above position t are
+      fixed, so a and b are fixed high parts plus t low digits that are
+      all 1 or 2; membership and level of a and b follow from the high
+      parts alone;
+    * a + n == 2b holds for every n once it holds for one, by linearity;
+    * per digit, d - v_b and v_a - v_b are smallest at d = 0, so b < n
+      and a < b are tightest at the first n; a is at least its high
+      part plus (4**t - 1) // 3, which is at least 1.
+
+    A certified block may run past hi; it holds no failure to miss.  A
+    failing n is reported and the walk goes on from n + 1, whose maximal
+    aligned blocks are the quarters of the failed block, their quarters
+    and so on.  Any other digit table gets the per-n loop.
     """
     if lo < MIN_N:
         raise ValueError(f"sweep starts at {MIN_N}, got lo={lo}")
-    tables = _low_tables(tuple(DIGIT_PAIRS[d] for d in range(4)))
+    if not all(
+        v_b in (1, 2) and v_a in (1, 2) and v_a + d == 2 * v_b
+        for d in range(4)
+        for v_b, v_a in [DIGIT_PAIRS[d]]
+    ):
+        return [n for n in range(lo, hi + 1) if not validate(find_witness(n))]
     failures: list[int] = []
-    start = lo
-    while start <= hi:
-        level = level_for(start)
-        t = min(BLOCK_DIGITS, level)
-        base = start >> (2 * t) << (2 * t)
-        stop = min(hi, base + (1 << (2 * t)) - 1)
-        failures += _sweep_block(level, base, start, stop, tables[t])
-        start = stop + 1
+    n = lo
+    while n <= hi:
+        if validate(find_witness(n)):
+            aligned = ((n & -n).bit_length() - 1) >> 1
+            n += 1 << (2 * min(level_for(n) - 1, aligned))
+        else:
+            failures.append(n)
+            n += 1
     return failures
-
-
-def _sweep_block(level, base, start, stop, low) -> list[int]:
-    """Failures among n in [start, stop], all inside the block at `base`."""
-    w = find_witness(base)
-    high_b = w.b - low[0][0]
-    high_a = w.a - low[1][0]
-    low_b = low[0][start - base:stop - base + 1]
-    low_a = low[1][start - base:stop - base + 1]
-    ok_b = {v for v in set(low_b) if level_of(high_b + v) == level}
-    ok_a = {v for v in set(low_a) if level_of(high_a + v) in (level, level - 1)}
-    return [
-        n
-        for n, v_b, v_a in zip(range(start, stop + 1), low_b, low_a)
-        if not (
-            1 <= (a := high_a + v_a) < (b := high_b + v_b) < n
-            and a + n == 2 * b
-            and v_b in ok_b
-            and v_a in ok_a
-        )
-    ]
 
 
 #: Maps a 0/1 membership byte to the binary digit int() reads.

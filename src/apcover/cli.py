@@ -1,23 +1,22 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library modules; every run with
-identical arguments produces byte-identical stdout (aggregation over
-parallel workers is order-insensitive).  Exit codes: 0 success, 1 a
-verification sweep found a counterexample, 2 usage error.
+identical arguments produces byte-identical stdout.  Exit codes: 0
+success, 1 a verification sweep found a counterexample, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import _kernels, density, oracle, stanley
 from .sequence import BLOCK_SEQUENCE, count_leq, decompose, element_at
 from .witness import MIN_N, find_witness, validate
 
-#: Ceiling on verify-covering --jobs; larger values are rejected.
+#: Ceiling on verify-covering --jobs; larger values are rejected.  The
+#: sweep always runs in one process: --jobs is accepted so that existing
+#: command lines keep working, and changes nothing.
 MAX_JOBS = 64
 
 #: Ceiling on min-n0 and explore-problem1 --upto; larger values are
@@ -84,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help=f"split the range into this many chunks (1..{MAX_JOBS}); "
-        "at most one worker process per CPU",
+        help=f"accepted for compatibility (1..{MAX_JOBS}); the sweep runs "
+        "in one process",
     )
 
     p = sub.add_parser(
@@ -124,24 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plan_sweep(
-    lo: int, hi: int, jobs: int, cpus: int | None
-) -> tuple[list[tuple[int, int]], int]:
-    """Split [lo, hi] into at most `jobs` chunks; pick the worker count.
-
-    Workers are min(jobs, cpus, number of chunks), at least 1; `cpus`
-    is os.cpu_count(), which may be None.
-    """
-    step = -(-(hi - lo + 1) // jobs)
-    chunks = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-    return chunks, max(1, min(jobs, cpus or 1, len(chunks)))
-
-
-def _sweep_chunk(bounds: tuple[int, int]) -> tuple[int, list[int]]:
-    lo, hi = bounds
-    return hi - lo + 1, _kernels.witness_sweep(lo, hi)
-
-
 def _cmd_member(args) -> int:
     e = decompose(args.n)
     if e is None:
@@ -174,21 +155,10 @@ def _cmd_verify_covering(args) -> int:
     if not 1 <= args.jobs <= MAX_JOBS:
         print(f"--jobs must be in 1..{MAX_JOBS}", file=sys.stderr)
         return 2
-    chunks, workers = _plan_sweep(args.lo, args.hi, args.jobs, os.cpu_count())
-    if workers == 1:
-        failures = _kernels.witness_sweep(args.lo, args.hi)
-        checked = args.hi - args.lo + 1
-    else:
-        checked = 0
-        failures = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for n_checked, fails in pool.map(_sweep_chunk, chunks):
-                checked += n_checked
-                failures.extend(fails)
-        failures.sort()
+    failures = _kernels.witness_sweep(args.lo, args.hi)
     for n in failures:
         print(f"FAIL {n}")
-    print(f"checked={checked} failures={len(failures)}")
+    print(f"checked={args.hi - args.lo + 1} failures={len(failures)}")
     return 1 if failures else 0
 
 
@@ -206,7 +176,12 @@ def _cmd_stanley(args) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    print(" ".join(str(t) for t in terms))
+    try:
+        text = " ".join(str(t) for t in terms)
+    except ValueError:  # more decimal digits than int -> str allows
+        print("a term has too many digits to print", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 
@@ -216,13 +191,18 @@ def _cmd_density(args) -> int:
         return 2
     if _too_large("--max-level", args.max_level, MAX_LEVEL):
         return 2
+    try:
+        out = None if args.out is None else open(args.out, "w")
+    except OSError as err:
+        print(f"cannot write --out {args.out!r}: {err.strerror}", file=sys.stderr)
+        return 2
     prof = density.profile(args.max_level)
     writer = density.write_jsonl if args.jsonl else density.write_csv
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            writer(prof.samples, fh)
-    else:
+    if out is None:
         writer(prof.samples, sys.stdout)
+    else:
+        with out:
+            writer(prof.samples, out)
     print(
         f"argmax: n={prof.argmax.n} count={prof.argmax.count} "
         f"ratio={prof.argmax.ratio:.12g}",

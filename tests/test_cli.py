@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import apcover
 from apcover import cli
 from apcover.stanley import greedy_next
 
@@ -61,19 +65,10 @@ def test_verify_covering_jobs_match_single(capsys):
     assert multi == single
 
 
-def test_plan_sweep_bounds_workers():
-    chunks, workers = cli._plan_sweep(32, 5000, 3, 2)
-    assert chunks == [(32, 1688), (1689, 3345), (3346, 5000)]
-    assert workers == 2
-    # fewer n than jobs: one chunk per n, one worker per chunk
-    assert cli._plan_sweep(32, 34, 8, 16) == ([(32, 32), (33, 33), (34, 34)], 3)
-    # unknown CPU count runs in-process
-    assert cli._plan_sweep(32, 5000, 4, None)[1] == 1
-    # the ceiling never plans more workers than CPUs, even on a huge range
-    chunks, workers = cli._plan_sweep(32, 4**500, cli.MAX_JOBS, 2)
-    assert len(chunks) == cli.MAX_JOBS and workers == 2
-    assert chunks[0][0] == 32 and chunks[-1][1] == 4**500
-    assert all(b + 1 == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+def test_verify_covering_far_range(capsys):
+    # blocks of up to 4**58 n are each certified by their first n
+    code, out, err = run(capsys, "verify-covering", "--from", "32", "--to", str(4**60))
+    assert (code, out, err) == (0, f"checked={4**60 - 31} failures=0\n", "")
 
 
 def test_verify_covering_jobs_out_of_range(capsys):
@@ -158,6 +153,15 @@ def test_stanley_sparse_seed(capsys):
     assert out == " ".join(map(str, terms)) + "\n"
 
 
+def test_stanley_term_too_large_to_print(capsys):
+    # the seed has 4300 digits, Python's int -> str limit; the next term,
+    # 10**4300, has one more
+    seed = "0," + "9" * 4300
+    code, out, err = run(capsys, "stanley", "--order", "3", "--seed", seed, "--count", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "too many digits" in err
+
+
 def test_stanley_bad_seed(capsys):
     code, _, err = run(
         capsys, "stanley", "--order", "3", "--seed", "0,1,2", "--count", "5"
@@ -186,6 +190,14 @@ def test_density_jsonl_file(capsys, tmp_path):
     rec = json.loads(lines[-1])
     assert rec["ratio_num"] == rec["count"] ** 2
     assert rec["ratio_den"] == rec["n"]
+
+
+def test_density_out_unwritable(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.density, "profile", _refuse_to_run)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "density", "--max-level", "2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--out" in err
 
 
 def test_density_byte_identical_runs(capsys):
@@ -313,3 +325,18 @@ def test_usage_errors_exit_2(capsys):
 def test_count_negative_rejected(capsys):
     code, _, err = run(capsys, "count", "-1")
     assert code == 2 and err
+
+
+def test_import_starts_no_process_machinery():
+    # every command pays for what importing the CLI imports
+    code = (
+        "import sys, apcover.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(apcover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -60,11 +60,37 @@ def test_sweep_matches_per_n_loop_random_windows(lo, width):
 def test_sweep_catches_broken_pair_table(monkeypatch, digit_row, lead_row):
     monkeypatch.setitem(witness.DIGIT_PAIRS, *digit_row)
     monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
-    _kernels._low_tables.cache_clear()
     for lo, hi in [(32, 20_000), (2**63, 2**63 + 3_000)]:
         failures = _kernels.witness_sweep(lo, hi)
         assert failures
         assert failures == _per_n(lo, hi)
+
+
+@pytest.mark.parametrize("lead_row", [(4, (4, 4)), (2, (2, 2)), (5, (3, 2))])
+def test_certified_blocks_match_per_n_loop_under_patched_leads(monkeypatch, lead_row):
+    # the digit table stays canonical, so blocks are still certified by
+    # their first n; under (4, (4, 4)) b < n and a < b hold for some n
+    # with m = 4 and fail for others, so a failing first n must not
+    # decide the rest of its block
+    monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
+    windows = [(32, 40_000), (2**63, 2**63 + 30_000), (4**11 - 7_000, 4**11 + 70_000)]
+    results = [(_kernels.witness_sweep(lo, hi), _per_n(lo, hi)) for lo, hi in windows]
+    assert any(expected for _, expected in results)
+    for got, expected in results:
+        assert got == expected
+
+
+@pytest.mark.parametrize("hi", [4**60, 4**500])
+def test_sweep_work_grows_with_levels_not_width(monkeypatch, hi):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return find_witness(n)
+
+    monkeypatch.setattr(_kernels, "find_witness", counted)
+    assert _kernels.witness_sweep(32, hi) == []
+    assert len(calls) <= 30 * (witness.level_for(hi) + 1)
 
 
 def _table_of(values, length):
