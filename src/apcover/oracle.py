@@ -5,8 +5,11 @@ protocol (strictly increasing iteration + membership), so the same
 oracle validates the block construction, Stanley sequences and ad-hoc
 sets.  Single queries scan the common difference d = 1, 2, ...
 directly.  Bulk range scans go through _kernels.uncovered_scan, which
-handles each d for every n at once by AND-ing shifted big-int bitsets
-of the members (same verdicts, much cheaper).
+covers every n at once with shifted big-int bitsets of the members:
+for k = 3 one shift per member y, since n is covered iff n = 2y - x
+for members x < y, when that takes fewer shifts than one pass per
+difference d; for k >= 4 one AND-ing pass per d (same verdicts as
+covers, much cheaper).
 """
 
 from __future__ import annotations

@@ -99,6 +99,13 @@ def test_min_n0(capsys):
     assert out == "n0=2 scanned_to=5000\n"
 
 
+def test_min_n0_frozen_at_10_6(capsys):
+    # the per-member scan does this in about 0.1 s; the per-d loop took 37 s
+    code, out, _ = run(capsys, "min-n0", "--upto", "1000000")
+    assert code == 0
+    assert out == "n0=2 scanned_to=1000000\n"
+
+
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("a value above its ceiling must be rejected before any work")
 
@@ -327,6 +334,15 @@ def test_count_negative_rejected(capsys):
     assert code == 2 and err
 
 
+def _fresh_python(code):
+    src = os.path.dirname(os.path.dirname(apcover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
 def test_import_starts_no_process_machinery():
     # every command pays for what importing the CLI imports
     code = (
@@ -334,9 +350,41 @@ def test_import_starts_no_process_machinery():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
         "if m in sys.modules))"
     )
-    src = os.path.dirname(os.path.dirname(apcover.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "[]\n"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_import_builds_no_parser():
+    code = "import apcover.cli; print(apcover.cli._build_parser.cache_info().currsize)"
+    assert _fresh_python(code) == "0\n"
+
+
+def test_parser_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+SHARED_PARSER_RUNS = [
+    ["min-n0"],  # usage error first: exit 2 must leave the parser reusable
+    ["member", "26"],
+    ["witness", "100"],
+    ["verify-covering", "--from", "32", "--to", "5000"],
+    ["stanley", "--order", "3", "--seed", "0,1", "--count", "16"],
+    ["explore-problem1", "--order", "3", "--seed", "0,1", "--upto", "200"],
+    ["argmax", "--upto", "1000000"],
+    ["member", "xyz"],
+    ["min-n0", "--upto", "300"],
+    ["density", "--max-level", "3", "--jsonl"],
+    ["count", "26"],
+]
+
+
+def test_shared_parser_runs_match_fresh_parser_runs(capsys):
+    fresh = []
+    for argv in SHARED_PARSER_RUNS:
+        cli._build_parser.cache_clear()
+        code, out, _ = run(capsys, *argv)
+        fresh.append((code, out))
+    cli._build_parser.cache_clear()
+    shared = [run(capsys, *argv)[:2] for argv in SHARED_PARSER_RUNS]
+    assert cli._build_parser.cache_info().currsize == 1
+    assert shared == fresh
+    assert [code for code, _ in fresh] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]

@@ -80,8 +80,7 @@ def test_certified_blocks_match_per_n_loop_under_patched_leads(monkeypatch, lead
         assert got == expected
 
 
-@pytest.mark.parametrize("hi", [4**60, 4**500])
-def test_sweep_work_grows_with_levels_not_width(monkeypatch, hi):
+def _sweep_witness_calls(monkeypatch, hi):
     calls = []
 
     def counted(n):
@@ -90,7 +89,18 @@ def test_sweep_work_grows_with_levels_not_width(monkeypatch, hi):
 
     monkeypatch.setattr(_kernels, "find_witness", counted)
     assert _kernels.witness_sweep(32, hi) == []
-    assert len(calls) <= 30 * (witness.level_for(hi) + 1)
+    return len(calls)
+
+
+@pytest.mark.parametrize("hi", [4**60, 4**500])
+def test_sweep_work_grows_with_levels_not_width(monkeypatch, hi):
+    assert _sweep_witness_calls(monkeypatch, hi) <= 30 * (witness.level_for(hi) + 1)
+
+
+@pytest.mark.parametrize("hi, most", [(4**60, 360), (4**500, 3_000)], ids=["4^60", "4^500"])
+def test_sweep_certifies_whole_levels(monkeypatch, hi, most):
+    # blocks of 4**level n, one per coarse quotient, are certified whole
+    assert _sweep_witness_calls(monkeypatch, hi) <= most
 
 
 def _table_of(values, length):
@@ -153,6 +163,71 @@ def test_scan_matches_brute_random_sets(members, k, x, y):
     table = _table_of(values, 301)
     expected = _brute_uncovered(values, lo, hi, k)
     assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
+
+
+K3_LOOPS = {
+    "per-member": _kernels._covered_by_members,
+    "per-d": lambda table, hi: _kernels._covered_by_differences(table, hi, 3),
+}
+
+
+def _uncovered_from(covered, lo, hi):
+    # bit hi - n of covered is set iff n is covered
+    return [n for n in range(lo, hi + 1) if not covered >> (hi - n) & 1]
+
+
+K3_SCANS = {name: case for name, case in SCANS.items() if case[-1] == 3}
+
+
+@pytest.mark.parametrize("loop", K3_LOOPS.values(), ids=K3_LOOPS.keys())
+@pytest.mark.parametrize("values, length, lo, hi, k", K3_SCANS.values(), ids=K3_SCANS.keys())
+def test_k3_loop_matches_brute(loop, values, length, lo, hi, k):
+    whole = _brute_uncovered(values, 0, length - 1, k)
+    expected = [n for n in whole if lo <= n <= hi]
+    assert _uncovered_from(loop(_table_of(values, length), hi), lo, hi) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 300)), st.integers(0, 300), st.integers(0, 300))
+def test_k3_loops_match_brute_random_sets(members, x, y):
+    lo, hi = min(x, y), max(x, y)
+    values = tuple(sorted(members))
+    table = _table_of(values, 301)
+    expected = _brute_uncovered(values, lo, hi, 3)
+    for loop in K3_LOOPS.values():
+        assert _uncovered_from(loop(table, hi), lo, hi) == expected
+
+
+def _must_not_run(*args):
+    raise AssertionError("the other loop should have been chosen")
+
+
+@pytest.mark.parametrize(
+    "values, hi, k, unused",
+    [
+        # 316 members against 4000 differences
+        (tuple(brute.elements_upto(8_000)), 8_000, 3, "_covered_by_differences"),
+        # 101 members against 100 differences
+        (EVENS_200, 200, 3, "_covered_by_members"),
+        # scaling by 2 is not a shift, so k = 4 always takes the per-d loop
+        (tuple(brute.elements_upto(8_000)), 8_000, 4, "_covered_by_members"),
+    ],
+    ids=["sparse-k3", "dense-k3", "sparse-k4"],
+)
+def test_scan_chooses_the_shorter_loop(monkeypatch, values, hi, k, unused):
+    table = _table_of(values, hi + 1)
+    expected = _kernels.uncovered_scan(table, list(values), 0, hi, k)
+    monkeypatch.setattr(_kernels, unused, _must_not_run)
+    assert _kernels.uncovered_scan(table, list(values), 0, hi, k) == expected
+
+
+def test_scan_reads_members_from_the_table():
+    # `elements` is not read: a list that disagrees with the table
+    # changes nothing
+    table = _table_of(A_3000, 3_001)
+    expected = _brute_uncovered(A_3000, 0, 3_000, 3)
+    assert _kernels.uncovered_scan(table, [], 0, 3_000, 3) == expected
+    assert _kernels.uncovered_scan(table, list(EVENS_200), 0, 3_000, 3) == expected
 
 
 def test_scan_table_must_cover_range():
