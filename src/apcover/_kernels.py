@@ -3,10 +3,10 @@
 The witness sweep certifies aligned blocks of 4**t consecutive n by
 their first n, so its work grows with the number of levels in the
 range, not with its width.  The uncovered scan ORs shifted big-int
-bitsets of the members: at k = 3 one shift per member y (n = 2y - x)
-when the members up to hi number at most hi // 2, otherwise, and for
-every k >= 4, one shift-AND pass per common difference.  Both are pure
-Python over exact integers; BACKEND names the only backend there is.
+bitsets of the members: at k = 3 one shift per member y (n = 2y - x),
+and for every k >= 4 one shift-AND pass per common difference.  Both
+are pure Python over exact integers; BACKEND names the only backend
+there is.
 """
 
 from __future__ import annotations
@@ -77,14 +77,12 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     puts all of n - (k-1)*d, ..., n - d in the set.
 
     Either loop below returns `covered`, a big int whose bit hi - n is
-    set iff n is covered.  At k = 3 the per-member loop runs when the
-    table holds at most hi // 2 members up to hi, that is when it makes
-    no more shifts than the per-d loop; otherwise, and for every k >= 4,
-    the per-d loop runs.
+    set iff n is covered: the per-member loop at k = 3, the per-d loop
+    for every k >= 4, where scaling by k - 1 is not a shift.
     """
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
-    if k == 3 and table.count(1, 0, hi + 1) <= hi // 2:
+    if k == 3:
         covered = _covered_by_members(table, hi)
     else:
         covered = _covered_by_differences(table, hi, k)
@@ -100,7 +98,7 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
 
 
 def _covered_by_differences(table, hi: int, k: int) -> int:
-    """`covered` for any k by one shift-AND-OR pass per difference d.
+    """`covered` for k >= 3 by one shift-AND-OR pass per difference d.
 
     One big-int bitset holds the members up to hi, written from the
     top: bit p of `rev` is set iff hi - p is a member, so shifting rev
@@ -133,7 +131,8 @@ def _covered_by_members(table, hi: int) -> int:
     otherwise) moves x to bit hi - (2y - x), where `covered` is indexed
     like the per-d loop's.  Values 2y - x above hi fall off the bottom.
     A holds about 3.6 * sqrt(hi) members up to hi, so this is about
-    sqrt(hi) passes against the per-d loop's hi // 2.
+    sqrt(hi) passes against the per-d loop's hi // 2.  The members are
+    walked in the table, not in a separate list.
     """
     forward = int(bytes(table[hi::-1]).translate(_BITS), 2)
     covered = 0

@@ -7,9 +7,8 @@ sets.  Single queries scan the common difference d = 1, 2, ...
 directly.  Bulk range scans go through _kernels.uncovered_scan, which
 covers every n at once with shifted big-int bitsets of the members:
 for k = 3 one shift per member y, since n is covered iff n = 2y - x
-for members x < y, when that takes fewer shifts than one pass per
-difference d; for k >= 4 one AND-ing pass per d (same verdicts as
-covers, much cheaper).
+for members x < y; for k >= 4 one AND-ing pass per difference d (same
+verdicts as covers, much cheaper).
 """
 
 from __future__ import annotations
@@ -88,11 +87,10 @@ def uncovered_in_range(
     if lo < 0 or hi < lo:
         raise ValueError(f"bad scan range [{lo}, {hi}]")
     table = bytearray(hi + 1)
-    elements = []
     for v in seq.iter_upto(hi):
         table[v] = 1
-        elements.append(v)
-    return _kernels.uncovered_scan(table, elements, lo, hi, k)
+    # the scan reads its members off the table
+    return _kernels.uncovered_scan(table, (), lo, hi, k)
 
 
 def min_threshold(seq: IntegerSequence, k: int, scan_to: int) -> int | None:
