@@ -8,7 +8,6 @@ success, 1 a verification sweep found a counterexample, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import _kernels, density, oracle, stanley
@@ -59,9 +58,7 @@ def _parse_seed(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed list: {text!r}")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="apcover",
         description="Explore the base-4 block covering sequence A, "

@@ -334,15 +334,6 @@ def test_count_negative_rejected(capsys):
     assert code == 2 and err
 
 
-def _fresh_python(code):
-    src = os.path.dirname(os.path.dirname(apcover.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout
-
-
 def test_import_starts_no_process_machinery():
     # every command pays for what importing the CLI imports
     code = (
@@ -350,41 +341,9 @@ def test_import_starts_no_process_machinery():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
         "if m in sys.modules))"
     )
-    assert _fresh_python(code) == "[]\n"
-
-
-def test_import_builds_no_parser():
-    code = "import apcover.cli; print(apcover.cli._build_parser.cache_info().currsize)"
-    assert _fresh_python(code) == "0\n"
-
-
-def test_parser_built_once():
-    assert cli._build_parser() is cli._build_parser()
-
-
-SHARED_PARSER_RUNS = [
-    ["min-n0"],  # usage error first: exit 2 must leave the parser reusable
-    ["member", "26"],
-    ["witness", "100"],
-    ["verify-covering", "--from", "32", "--to", "5000"],
-    ["stanley", "--order", "3", "--seed", "0,1", "--count", "16"],
-    ["explore-problem1", "--order", "3", "--seed", "0,1", "--upto", "200"],
-    ["argmax", "--upto", "1000000"],
-    ["member", "xyz"],
-    ["min-n0", "--upto", "300"],
-    ["density", "--max-level", "3", "--jsonl"],
-    ["count", "26"],
-]
-
-
-def test_shared_parser_runs_match_fresh_parser_runs(capsys):
-    fresh = []
-    for argv in SHARED_PARSER_RUNS:
-        cli._build_parser.cache_clear()
-        code, out, _ = run(capsys, *argv)
-        fresh.append((code, out))
-    cli._build_parser.cache_clear()
-    shared = [run(capsys, *argv)[:2] for argv in SHARED_PARSER_RUNS]
-    assert cli._build_parser.cache_info().currsize == 1
-    assert shared == fresh
-    assert [code for code, _ in fresh] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    src = os.path.dirname(os.path.dirname(apcover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
