@@ -3,6 +3,7 @@
 Subcommands map one-to-one onto the library modules; every run with
 identical arguments produces byte-identical stdout.  Exit codes: 0
 success, 1 a verification sweep found a counterexample, 2 usage error.
+Every usage error, argparse's own included, is one line on stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +52,27 @@ MAX_ARGMAX = 4**256
 MAX_LEVEL = 4000
 
 
+class _Usage(Exception):
+    """A usage error; main prints its one-line message and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _Usage(f"{self.prog}: error: {message}")
+
+
+def _at_most(option: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise _Usage(f"{option} must be at most {ceiling}")
+
+
+def _decimal(values, what: str) -> str:
+    try:
+        return " ".join(str(v) for v in values)
+    except ValueError:  # more decimal digits than int -> str allows
+        raise _Usage(f"{what} has too many digits to print")
+
+
 def _parse_seed(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -59,28 +81,34 @@ def _parse_seed(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apcover",
         description="Explore the base-4 block covering sequence A, "
         "its 3-AP witnesses, counting function and density.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("member", help="membership and decomposition of n")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("member", _cmd_member, "membership and decomposition of n")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("count", help="A(n): number of members <= n")
+    p = command("count", _cmd_count, "A(n): number of members <= n")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("nth", help="the j-th smallest member of A")
+    p = command("nth", _cmd_nth, "the j-th smallest member of A")
     p.add_argument("j", type=int)
 
-    p = sub.add_parser("witness", help="constructive 3-AP witness for n >= 32")
+    p = command("witness", _cmd_witness, "constructive 3-AP witness for n >= 32")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser(
+    p = command(
         "verify-covering",
-        help="check the constructed witness for every n in a range",
+        _cmd_verify_covering,
+        "check the constructed witness for every n in a range",
     )
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
@@ -92,34 +120,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "in one process",
     )
 
-    p = sub.add_parser(
+    p = command(
         "min-n0",
-        help="largest n <= bound with no 3-AP witness in A (brute force)",
+        _cmd_min_n0,
+        "largest n <= bound with no 3-AP witness in A (brute force)",
     )
     p.add_argument("--upto", type=int, required=True, help=f"at most {MAX_UPTO}")
 
-    p = sub.add_parser("stanley", help="greedy Stanley sequence terms")
+    p = command("stanley", _cmd_stanley, "greedy Stanley sequence terms")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--count", type=int, required=True, help=f"at most {MAX_COUNT}")
 
-    p = sub.add_parser("density", help="density samples at the q-points")
-    p.add_argument(
-        "--max-level", type=int, required=True, help=f"at most {MAX_LEVEL}"
-    )
+    p = command("density", _cmd_density, "density samples at the q-points")
+    p.add_argument("--max-level", type=int, required=True, help=f"at most {MAX_LEVEL}")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--jsonl", action="store_true")
     p.add_argument("--out", type=str, default=None)
 
-    p = sub.add_parser("argmax", help="n <= bound maximizing A(n)/sqrt(n)")
-    p.add_argument(
-        "--upto", type=int, required=True, help=f"at most {MAX_ARGMAX}"
-    )
+    p = command("argmax", _cmd_argmax, "n <= bound maximizing A(n)/sqrt(n)")
+    p.add_argument("--upto", type=int, required=True, help=f"at most {MAX_ARGMAX}")
 
-    p = sub.add_parser(
+    p = command(
         "explore-problem1",
-        help="does a Stanley sequence of order k+1 cover AP_k? (empirical)",
+        _cmd_explore,
+        "does a Stanley sequence of order k+1 cover AP_k? (empirical)",
     )
     p.add_argument("--order", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=_parse_seed, required=True)
@@ -138,10 +164,23 @@ def _cmd_member(args) -> int:
     return 0
 
 
+def _cmd_count(args) -> int:
+    if args.n < 0:
+        raise _Usage("n must be nonnegative")
+    print(count_leq(args.n))
+    return 0
+
+
+def _cmd_nth(args) -> int:
+    if args.j < 1:
+        raise _Usage("rank must be >= 1")
+    print(_decimal([element_at(args.j)], "that member"))
+    return 0
+
+
 def _cmd_witness(args) -> int:
     if args.n < MIN_N:
-        print(f"witness construction needs n >= {MIN_N}", file=sys.stderr)
-        return 2
+        raise _Usage(f"witness construction needs n >= {MIN_N}")
     w = find_witness(args.n)
     if not validate(w):
         print(f"a={w.a} b={w.b} n={w.n} INVALID")
@@ -152,14 +191,9 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify_covering(args) -> int:
     if args.lo < MIN_N or args.hi < args.lo:
-        print(
-            f"need {MIN_N} <= from <= to, got [{args.lo}, {args.hi}]",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Usage(f"need {MIN_N} <= from <= to, got [{args.lo}, {args.hi}]")
     if not 1 <= args.jobs <= MAX_JOBS:
-        print(f"--jobs must be in 1..{MAX_JOBS}", file=sys.stderr)
-        return 2
+        raise _Usage(f"--jobs must be in 1..{MAX_JOBS}")
     failures = _kernels.witness_sweep(args.lo, args.hi)
     for n in failures:
         print(f"FAIL {n}")
@@ -168,46 +202,39 @@ def _cmd_verify_covering(args) -> int:
 
 
 def _cmd_min_n0(args) -> int:
+    if args.upto < 1:
+        raise _Usage("--upto must be >= 1")
+    _at_most("--upto", args.upto, MAX_UPTO)
     threshold = oracle.min_threshold(BLOCK_SEQUENCE, 3, args.upto)
     print(f"n0={'none' if threshold is None else threshold} scanned_to={args.upto}")
     return 0
 
 
 def _cmd_stanley(args) -> int:
-    if _too_large("--count", args.count, MAX_COUNT):
-        return 2
+    _at_most("--count", args.count, MAX_COUNT)
     try:
         terms = stanley.generate(args.seed, args.order, args.count)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    try:
-        text = " ".join(str(t) for t in terms)
-    except ValueError:  # more decimal digits than int -> str allows
-        print("a term has too many digits to print", file=sys.stderr)
-        return 2
-    print(text)
+        raise _Usage(str(err))
+    print(_decimal(terms, "a term"))
     return 0
 
 
 def _cmd_density(args) -> int:
     if args.max_level < 0:
-        print("--max-level must be nonnegative", file=sys.stderr)
-        return 2
-    if _too_large("--max-level", args.max_level, MAX_LEVEL):
-        return 2
-    try:
-        out = None if args.out is None else open(args.out, "w")
-    except OSError as err:
-        print(f"cannot write --out {args.out!r}: {err.strerror}", file=sys.stderr)
-        return 2
-    prof = density.profile(args.max_level)
+        raise _Usage("--max-level must be nonnegative")
+    _at_most("--max-level", args.max_level, MAX_LEVEL)
     writer = density.write_jsonl if args.jsonl else density.write_csv
-    if out is None:
+    if args.out is None:
+        prof = density.profile(args.max_level)
         writer(prof.samples, sys.stdout)
     else:
-        with out:
-            writer(prof.samples, out)
+        try:  # open, write and close alike: a failed flush shows on close
+            with open(args.out, "w") as out:
+                prof = density.profile(args.max_level)
+                writer(prof.samples, out)
+        except OSError as err:
+            raise _Usage(f"cannot write --out {args.out!r}: {err.strerror}")
     print(
         f"argmax: n={prof.argmax.n} count={prof.argmax.count} "
         f"ratio={prof.argmax.ratio:.12g}",
@@ -218,10 +245,8 @@ def _cmd_density(args) -> int:
 
 def _cmd_argmax(args) -> int:
     if args.upto < 1:
-        print("--upto must be >= 1", file=sys.stderr)
-        return 2
-    if _too_large("--upto", args.upto, MAX_ARGMAX):
-        return 2
+        raise _Usage("--upto must be >= 1")
+    _at_most("--upto", args.upto, MAX_ARGMAX)
     n = density.argmax_upto(args.upto)
     count = count_leq(n)
     ratio = (count * count / n) ** 0.5
@@ -229,25 +254,15 @@ def _cmd_argmax(args) -> int:
     return 0
 
 
-def _too_large(option: str, value: int, ceiling: int) -> bool:
-    if value > ceiling:
-        print(f"{option} must be at most {ceiling}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_explore(args) -> int:
     if args.order < 3:
-        print("--order must be >= 3", file=sys.stderr)
-        return 2
-    if _too_large("--upto", args.upto, MAX_UPTO):
-        return 2
+        raise _Usage("--order must be >= 3")
+    _at_most("--upto", args.upto, MAX_UPTO)
     order = args.order + 1
     try:
         terms = stanley.generate_upto(args.seed, order, args.upto)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        raise _Usage(str(err))
     seq = oracle.FiniteSet(terms)
     uncovered = oracle.uncovered_in_range(seq, 0, args.upto, args.order)
     print(
@@ -260,51 +275,14 @@ def _cmd_explore(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    if args.command == "member":
-        return _cmd_member(args)
-    if args.command == "count":
-        if args.n < 0:
-            print("n must be nonnegative", file=sys.stderr)
-            return 2
-        print(count_leq(args.n))
-        return 0
-    if args.command == "nth":
-        if args.j < 1:
-            print("rank must be >= 1", file=sys.stderr)
-            return 2
-        try:
-            text = str(element_at(args.j))
-        except ValueError:  # more decimal digits than int -> str allows
-            print("that member has too many digits to print", file=sys.stderr)
-            return 2
-        print(text)
-        return 0
-    if args.command == "witness":
-        return _cmd_witness(args)
-    if args.command == "verify-covering":
-        return _cmd_verify_covering(args)
-    if args.command == "min-n0":
-        if args.upto < 1:
-            print("--upto must be >= 1", file=sys.stderr)
-            return 2
-        if _too_large("--upto", args.upto, MAX_UPTO):
-            return 2
-        return _cmd_min_n0(args)
-    if args.command == "stanley":
-        return _cmd_stanley(args)
-    if args.command == "density":
-        return _cmd_density(args)
-    if args.command == "argmax":
-        return _cmd_argmax(args)
-    if args.command == "explore-problem1":
-        return _cmd_explore(args)
-    raise AssertionError(f"unhandled command {args.command}")
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # --help
+        return exc.code
+    except _Usage as err:
+        print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

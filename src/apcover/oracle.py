@@ -18,10 +18,6 @@ from typing import Iterator, Protocol, runtime_checkable
 
 from . import _kernels
 
-#: weak_covers result for n that is itself a sequence member.
-EXEMPT = "exempt"
-
-
 @runtime_checkable
 class IntegerSequence(Protocol):
     def member(self, n: int) -> bool: ...
@@ -65,12 +61,17 @@ def covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
     return None
 
 
-def weak_covers(seq: IntegerSequence, n: int, k: int = 3):
-    """Like covers, but members of seq are exempt from the requirement."""
+def weak_covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
+    """Like covers, but members of seq are exempt from the requirement.
+
+    A member n returns [], since it needs no earlier terms; any other n
+    returns what covers returns.  Both [] and None are falsy: tell them
+    apart with `is None`.
+    """
     if k < 3:
         raise ValueError(f"progression length must be >= 3, got {k}")
     if seq.member(n):
-        return EXEMPT
+        return []
     return covers(seq, n, k)
 
 

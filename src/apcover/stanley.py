@@ -66,6 +66,8 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
         # t - jd is a term for j = 2..k-2; each forbids t + d = 2t - s
         ss = terms[bisect_left(terms, t - t // (k - 2)):]
         for j in range(2, k - 1):
+            if not ss:  # huge k: stop after the last candidate goes
+                break
             ss = [s for s in ss if t - j * (t - s) in present]
         terms.append(t)
         present.add(t)

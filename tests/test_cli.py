@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -160,6 +161,25 @@ def test_stanley_sparse_seed(capsys):
     assert out == " ".join(map(str, terms)) + "\n"
 
 
+def test_stanley_huge_order(capsys):
+    # no 10**18-term AP fits in these terms; the per-term filter must stop
+    # once no candidate is left instead of running once per order
+    code, out, _ = run(
+        capsys, "stanley", "--order", str(10**18), "--seed", "0,1", "--count", "20"
+    )
+    assert code == 0
+    assert out == " ".join(map(str, range(20))) + "\n"
+    code, out, _ = run(
+        capsys, "explore-problem1", "--order", str(10**18), "--seed", "0,1",
+        "--upto", "1000",
+    )
+    assert code == 0
+    assert out.startswith(
+        f"stanley_order={10**18 + 1} terms=1001 max_term=1000 scanned_to=1000 "
+        "uncovered=1001\n"
+    )
+
+
 def test_stanley_term_too_large_to_print(capsys):
     # the seed has 4300 digits, Python's int -> str limit; the next term,
     # 10**4300, has one more
@@ -205,6 +225,14 @@ def test_density_out_unwritable(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "density", "--max-level", "2", "--out", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "--out" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_density_out_write_fails(capsys):
+    # /dev/full opens fine; the failure comes on write or close
+    code, out, err = run(capsys, "density", "--max-level", "3", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "cannot write --out '/dev/full': No space left on device\n"
 
 
 def test_density_byte_identical_runs(capsys):
@@ -324,9 +352,36 @@ def test_explore_problem1_order_too_small(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "nope")[0] == 2
-    assert run(capsys, "member")[0] == 2
-    assert run(capsys, "member", "xyz")[0] == 2
+    # argparse's own errors take the one usage-error path: one line, no usage block
+    for argv, message in [
+        (["nope"], "apcover: error: argument command: invalid choice: 'nope'"),
+        ([], "apcover: error: the following arguments are required: command"),
+        (["member"], "apcover member: error: the following arguments are required: n"),
+        (["member", "xyz"], "apcover member: error: argument n: invalid int value"),
+        (
+            ["stanley", "--seed", "x", "--order", "3", "--count", "5"],
+            "apcover stanley: error: argument --seed: bad seed list: 'x'",
+        ),
+        (["density", "--max-level", "1", "--csv", "--jsonl"], "not allowed with"),
+        (["member", "1", "2"], "apcover: error: unrecognized arguments: 2"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
+        assert message in err, argv
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: apcover")
+
+
+def test_every_subcommand_has_a_handler():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        assert callable(p.get_default("run")), name
 
 
 def test_count_negative_rejected(capsys):
