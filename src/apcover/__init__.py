@@ -7,8 +7,8 @@ n >= 3) extends two smaller members of A to a 3-term arithmetic
 progression, and A(n)/sqrt(n) tends to sqrt(15) along the all-twos
 members while staying below 4 everywhere.
 
-Modules: base4 (digit codec), sequence (membership / counting /
-ranking), witness (constructive 3-AP witnesses), oracle (brute-force
+Modules: sequence (membership / counting / ranking / decomposition),
+witness (constructive 3-AP witnesses), oracle (brute-force
 covering checks over any integer sequence), stanley (greedy AP-free
 generator), density (exact ratio analysis), cli (command line).
 """

@@ -2,13 +2,15 @@
 
 Subcommands map one-to-one onto the library modules; every run with
 identical arguments produces byte-identical stdout.  Exit codes: 0
-success, 1 a verification sweep found a counterexample, 2 usage error.
-Every usage error, argparse's own included, is one line on stderr.
+success, 1 a verification sweep found a counterexample, 2 usage error
+or output that cannot be written.  Every such error, argparse's own
+included, is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import _kernels, density, oracle, stanley
@@ -34,7 +36,11 @@ MAX_UPTO = 10**7
 #: Ceiling on stanley --count, checked before any term is generated.
 #: Time grows with the square of count and the sieve with the largest
 #: term (order 3 from 0,1: 4000 terms take under 1 s and 20 MB peak
-#: RSS, 10^4 terms about 4 s and 24 MB, 3 * 10^4 terms 35 s and 39 MB).
+#: RSS, 10^4 terms about 4 s and 24 MB, 3 * 10^4 terms 35 s and 39 MB,
+#: 5 * 10^4 terms 97-103 s and 87 MB, measured as one CLI process on a
+#: 2-core x86-64 host).  At the ceiling, extrapolated and not run: about
+#: 7 min (the time quadruples) and 240 MB (the largest term, which sizes
+#: the sieve, triples from 1.9e7 to 5.7e7).
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The
@@ -228,6 +234,7 @@ def _cmd_density(args) -> int:
     if args.out is None:
         prof = density.profile(args.max_level)
         writer(prof.samples, sys.stdout)
+        sys.stdout.flush()  # a failed write ends the run before the summary
     else:
         try:  # open, write and close alike: a failed flush shows on close
             with open(args.out, "w") as out:
@@ -274,14 +281,38 @@ def _cmd_explore(args) -> int:
     return 0
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    After a failed write stdout still holds the unwritten bytes, and the
+    interpreter's flush at exit would fail on them again.  A stream with
+    no descriptor (an in-process caller's StringIO) is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.run(args)
-    except SystemExit as exc:  # --help
-        return exc.code
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.run(args)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a failed write shows here, not at exit
+        return code
     except _Usage as err:
         print(err, file=sys.stderr)
+        return 2
+    except OSError as err:  # stdout closed, full or gone
+        _discard_stdout()
+        print(f"apcover: error: cannot write output: {err.strerror}", file=sys.stderr)
         return 2
 
 

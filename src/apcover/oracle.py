@@ -14,11 +14,11 @@ verdicts as covers, much cheaper).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol
 
 from . import _kernels
 
-@runtime_checkable
+
 class IntegerSequence(Protocol):
     def member(self, n: int) -> bool: ...
 

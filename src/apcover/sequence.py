@@ -13,15 +13,14 @@ of any size.
 
 Membership is decided in one place, level_of, by a few operations on
 the whole integer with no loop over digits; member, decompose,
-witness.validate and the witness sweep all build on it.
+witness.validate and the witness sweep all build on it.  decompose and
+encode are the only places that read or write a digit vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-from .base4 import from_digits, to_digits
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,21 @@ class Element:
         if any(d not in (1, 2) for d in self.low):
             raise ValueError(f"low digits must be 1 or 2, got {self.low}")
 
-    @property
-    def value(self) -> int:
-        return encode(self)
+
+#: byte maps for the two digit conversions: a low digit 1 or 2 to its
+#: base-4 character (encode), a member's bit 2i + 1 to its low digit i
+#: (decompose).
+_DIGIT_CHAR = bytes.maketrans(b"\x01\x02", b"12")
+_BIT_DIGIT = bytes.maketrans(b"01", b"\x01\x02")
 
 
 def encode(e: Element) -> int:
-    """Integer value lead * 4**level + sum(low[i] * 4**i)."""
-    return (e.lead << (2 * e.level)) + from_digits(list(e.low))
+    """Integer value lead * 4**level + sum(low[i] * 4**i).
+
+    The low digits, top first, are one base-4 string for int().
+    """
+    low = bytes(e.low[::-1]).translate(_DIGIT_CHAR)
+    return (e.lead << (2 * e.level)) + int(b"0" + low, 4)  # "0": level 0
 
 
 def level_of(n: int) -> int:
@@ -83,12 +89,18 @@ def member(n: int) -> bool:
 
 
 def decompose(n: int) -> Element | None:
-    """Canonical Element for n, or None when n is not in A."""
+    """Canonical Element for n, or None when n is not in A.
+
+    A low digit of a member is 1 or 2, so digit i is 2 exactly when bit
+    2i + 1 is set: the low digits are bits 1, 3, ..., 2*level - 1 of n,
+    read off its binary string from the end.
+    """
     level = level_of(n)
     if level < 0:
         return None
-    low = to_digits(n)[:level]
-    return Element(level=level, lead=n >> (2 * level), low=tuple(low))
+    bits = bin(n)[-2 : -2 * level - 1 : -2]
+    low = tuple(bits.encode().translate(_BIT_DIGIT))
+    return Element(level=level, lead=n >> (2 * level), low=low)
 
 
 def level_min(level: int) -> int:

@@ -10,6 +10,23 @@ from __future__ import annotations
 from itertools import product
 
 
+def to_digits(n: int) -> list[int]:
+    """Little-endian base-4 digits of n >= 0 by repeated division (empty for 0)."""
+    digits = []
+    while n:
+        digits.append(n % 4)
+        n //= 4
+    return digits
+
+
+def from_digits(digits: list[int]) -> int:
+    """Value of little-endian base-4 digits by Horner's rule."""
+    value = 0
+    for d in reversed(digits):
+        value = value * 4 + d
+    return value
+
+
 def elements_upto(limit: int) -> list[int]:
     """All members <= limit, enumerated level by level from the definition."""
     out = []

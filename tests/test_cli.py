@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import pytest
 
 import apcover
+import brute
 from apcover import cli
 from apcover.stanley import greedy_next
 
@@ -21,6 +24,17 @@ def test_member_in(capsys):
     code, out, _ = run(capsys, "member", "26")
     assert code == 0
     assert out == "26 in A: level=2 lead=1 low=[2,2]\n"
+
+
+def test_member_large_level(capsys):
+    # a level-2000 member: every low digit comes out through stdout
+    level = 2000
+    low = [1 + (i * i % 7 < 3) for i in range(level)]
+    n = (3 << 2 * level) + brute.from_digits(low)
+    code, out, err = run(capsys, "member", str(n))
+    digits = ",".join(str(d) for d in brute.to_digits(n)[:level])
+    assert (code, err) == (0, "")
+    assert out == f"{n} in A: level={level} lead=3 low=[{digits}]\n"
 
 
 def test_member_out(capsys):
@@ -389,6 +403,11 @@ def test_count_negative_rejected(capsys):
     assert code == 2 and err
 
 
+def _child_env():
+    src = os.path.dirname(os.path.dirname(apcover.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def test_import_starts_no_process_machinery():
     # every command pays for what importing the CLI imports
     code = (
@@ -396,9 +415,68 @@ def test_import_starts_no_process_machinery():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
         "if m in sys.modules))"
     )
-    src = os.path.dirname(os.path.dirname(apcover.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def _cli_command(*argv):
+    return [sys.executable, "-m", "apcover.cli", *argv]
+
+
+WRITE_ERROR = "apcover: error: cannot write output: "
+
+
+#: PYTHONUNBUFFERED: "" lets the child buffer stdout, as it does by
+#: default, so unwritten bytes are still held at exit; "1" writes through
+BUFFERING = ["", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", BUFFERING)
+@pytest.mark.parametrize("argv", [["member", "5"], ["density", "--max-level", "3"]])
+def test_stdout_full_is_one_line_exit_2(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            _cli_command(*argv),
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == WRITE_ERROR + os.strerror(errno.ENOSPC) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", BUFFERING)
+def test_stdout_closed_early_is_one_line_exit_2(unbuffered):
+    # the reader takes 10 bytes of several MB and closes the pipe
+    proc = subprocess.Popen(
+        _cli_command("density", "--max-level", "2000", "--jsonl"),
+        env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert head == b'{"n": 1, "'
+    assert err.decode() == WRITE_ERROR + os.strerror(errno.EPIPE) + "\n"
+
+
+def test_stdout_write_error_in_process(capsys, monkeypatch):
+    # a stream with no file descriptor is reported on and left alone
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert cli.main(["member", "5"]) == 2
+    assert capsys.readouterr().err == WRITE_ERROR + os.strerror(errno.ENOSPC) + "\n"

@@ -1,9 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover.base4 import from_digits, to_digits
 from apcover.sequence import (
     BLOCK_SEQUENCE,
     Element,
@@ -92,9 +91,9 @@ def level_by_digits(n):
     A lead worth 1..4 fills one top digit (1..3) or two (4 is [0, 1]),
     and every digit below it must be 1 or 2.
     """
-    digits = to_digits(n)
+    digits = brute.to_digits(n)
     for level in (len(digits) - 1, len(digits) - 2):
-        if level >= 0 and 1 <= from_digits(digits[level:]) <= 4:
+        if level >= 0 and 1 <= brute.from_digits(digits[level:]) <= 4:
             if set(digits[:level]) <= {1, 2}:
                 return level
     return -1
@@ -111,7 +110,7 @@ def digit_cases(draw, max_level=3000):
         bad = st.tuples(st.integers(0, level - 1), st.sampled_from([0, 3]))
         for i, d in draw(st.lists(bad, max_size=3)):
             low[i] = d
-    return (lead << 2 * level) + from_digits(low)
+    return (lead << 2 * level) + brute.from_digits(low)
 
 
 @given(digit_cases())
@@ -123,9 +122,61 @@ def test_membership_matches_digit_definition(n):
     if level < 0:
         assert decompose(n) is None
     else:
-        digits = to_digits(n)
-        lead = from_digits(digits[level:])
+        digits = brute.to_digits(n)
+        lead = brute.from_digits(digits[level:])
         assert decompose(n) == Element(level, lead, tuple(digits[:level]))
+
+
+@pytest.mark.parametrize(
+    "n, digits", [(0, []), (7, [3, 1]), (10, [2, 2]), (100, [0, 1, 2, 1])]
+)
+def test_brute_digits_examples(n, digits):
+    assert brute.to_digits(n) == digits
+    assert brute.from_digits(digits) == n
+
+
+@given(st.integers(0, 4**40))
+@example(0)
+@example(1)
+@example(4**30)
+def test_brute_digits_round_trip(n):
+    digits = brute.to_digits(n)
+    assert brute.from_digits(digits) == n
+    assert all(0 <= d <= 3 for d in digits)
+    if n:  # canonical: no trailing zero, so the length is floor(log4 n) + 1
+        assert digits[-1] != 0
+        assert 4 ** (len(digits) - 1) <= n < 4 ** len(digits)
+
+
+@st.composite
+def huge_members(draw):
+    """A member of level 60..6000 with random lead and low digits."""
+    level = draw(st.integers(60, 6000))
+    twos = draw(st.integers(0, (1 << level) - 1))
+    low = [1 + (twos >> i & 1) for i in range(level)]
+    return (draw(st.integers(1, 4)) << 2 * level) + brute.from_digits(low)
+
+
+@given(huge_members())
+@settings(max_examples=100, deadline=None)
+@example(1)  # level 0
+@example(4)
+@example(4**60)  # not in A: digits 0 below the lead
+@example(level_max(59))  # the largest member below 4**60
+@example(level_min(60))
+@example(level_min(6000))
+@example(level_max(6000))
+@example(4**6000 + 3)  # not in A
+def test_decompose_and_encode_match_brute_digits(n):
+    digits = brute.to_digits(n)
+    level = level_by_digits(n)
+    e = decompose(n)
+    if level < 0:
+        assert e is None
+        return
+    lead = brute.from_digits(digits[level:])
+    assert e == Element(level, lead, tuple(digits[:level]))
+    assert encode(e) == brute.from_digits(digits) == n
 
 
 @pytest.mark.parametrize(

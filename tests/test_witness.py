@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcover.base4 import to_digits
+import brute
 from apcover.sequence import decompose
 from apcover.witness import (
     DIGIT_PAIRS,
@@ -108,7 +108,7 @@ def test_huge_witness():
 def digitwise_witness(n):
     """(a, b) built one base-4 digit at a time from the pair tables."""
     level = level_for(n)
-    digits = to_digits(n)
+    digits = brute.to_digits(n)
     lead_b, lead_a = LEAD_PAIRS[n >> (2 * level)]
     b, a = lead_b << (2 * level), lead_a << (2 * level)
     for i, d in enumerate(digits[:level]):
