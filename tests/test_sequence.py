@@ -127,11 +127,13 @@ def test_membership_matches_digit_definition(n):
         assert decompose(n) == Element(level, lead, tuple(digits[:level]))
 
 
-@pytest.mark.parametrize(
-    "n, digits", [(0, []), (7, [3, 1]), (10, [2, 2]), (100, [0, 1, 2, 1])]
-)
-def test_brute_digits_examples(n, digits):
+@pytest.mark.parametrize("n, digits", [(0, []), (7, [3, 1]), (100, [0, 1, 2, 1])])
+def test_brute_to_digits_examples(n, digits):
     assert brute.to_digits(n) == digits
+
+
+@pytest.mark.parametrize("digits, n", [([], 0), ([2, 2], 10), ([0, 1, 2, 1], 100)])
+def test_brute_from_digits_examples(digits, n):
     assert brute.from_digits(digits) == n
 
 
@@ -143,9 +145,17 @@ def test_brute_digits_round_trip(n):
     digits = brute.to_digits(n)
     assert brute.from_digits(digits) == n
     assert all(0 <= d <= 3 for d in digits)
-    if n:  # canonical: no trailing zero, so the length is floor(log4 n) + 1
-        assert digits[-1] != 0
-        assert 4 ** (len(digits) - 1) <= n < 4 ** len(digits)
+
+
+@given(st.integers(1, 10**9))
+def test_brute_digits_canonical_no_trailing_zero(n):
+    assert brute.to_digits(n)[-1] != 0
+
+
+@given(st.integers(1, 4**40))
+def test_brute_digits_length_is_floor_log4_plus_one(n):
+    length = len(brute.to_digits(n))
+    assert 4 ** (length - 1) <= n < 4**length
 
 
 @st.composite
