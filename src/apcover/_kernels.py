@@ -3,10 +3,10 @@
 The witness sweep certifies aligned blocks of 4**t consecutive n by
 their first n, so its work grows with the number of levels in the
 range, not with its width.  The uncovered scan ORs shifted big-int
-bitsets of the members: at k = 3 one shift per member y (n = 2y - x),
-and for every k >= 4 one shift-AND pass per common difference.  Both
-are pure Python over exact integers; BACKEND names the only backend
-there is.
+bitsets of the members, one pass per member for every k: at k = 3 the
+pass is one shift (n = 2y - x), and each further AP term ANDs in one
+residue class of the members.  Both are pure Python over exact
+integers; BACKEND names the only backend there is.
 """
 
 from __future__ import annotations
@@ -75,17 +75,10 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     lists the same members in increasing order and is not read: the
     answer depends on the table alone.  n is covered when some d >= 1
     puts all of n - (k-1)*d, ..., n - d in the set.
-
-    Either loop below returns `covered`, a big int whose bit hi - n is
-    set iff n is covered: the per-member loop at k = 3, the per-d loop
-    for every k >= 4, where scaling by k - 1 is not a shift.
     """
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
-    if k == 3:
-        covered = _covered_by_members(table, hi)
-    else:
-        covered = _covered_by_differences(table, hi, k)
+    covered = _covered(table, hi, k)
     # character i of the bit string, below a sentinel 1, is n = lo + i
     width = hi - lo + 1
     bits = bin(covered & ((1 << width) - 1) | 1 << width)[3:]
@@ -97,49 +90,45 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     return uncovered
 
 
-def _covered_by_differences(table, hi: int, k: int) -> int:
-    """`covered` for k >= 3 by one shift-AND-OR pass per difference d.
+def _covered(table, hi: int, k: int) -> int:
+    """A big int whose bit hi - n is set iff n <= hi is covered.
 
-    One big-int bitset holds the members up to hi, written from the
-    top: bit p of `rev` is set iff hi - p is a member, so shifting rev
-    right by j*d moves member v to position hi - v - j*d.  For each d,
-    the AND of rev >> j*d over j = 0 .. k-2 marks at p every t = hi - p
-    with t, t - d, ..., t - (k-2)*d all members.  That run covers
-    n = t + d, at position p - d, so one more shift by d adds it to
-    `covered`, which is indexed like rev.  The AND stops at the first
-    empty result.  The cost grows with the square of hi.
+    One pass per member z <= hi, taken as the term n - d of a k-AP and
+    paired with each candidate y = z - d below it, so n = 2z - y.  The
+    lower terms z - j*d = j*y - (j-1)*z, j = 2 .. k-2, are congruent to
+    r = z mod j; such a term is a member iff bit y - c of G[j][r] is
+    set, where bit i of G[j][r] is set iff r + j*i is a member and
+    c = z - z//j is the least y that keeps the term >= 0.
+
+    A pass starts from the members y in [z - z//(k-2), z), where every
+    term is >= 0, taken from the forward bitset (bit x set iff x is a
+    member), and ANDs in each G[j][r] masked to its low z//j bits and
+    shifted up by c.  What is left is every y that completes a k-AP
+    below z; shifting it by hi - 2z (left when that is >= 0, right
+    otherwise) moves y to bit hi - (2z - y), and values 2z - y above hi
+    fall off the bottom.  At k = 3 there is no G, and a pass is one
+    shift-OR.  Each G[j][r] is one int() over every j-th character of
+    the table's 0/1 string, built when a pass first needs it, so a
+    large k builds only the classes that some pass reaches.
     """
-    rev = int(bytes(table[: hi + 1]).translate(_BITS), 2)
+    line = bytes(table[: hi + 1]).translate(_BITS)
+    forward = int(line[::-1], 2)
+    classes = {}  # (j, r): G[j][r]
+    steps = range(2, k - 1)  # built once: small scans are bound by per-pass overhead
     covered = 0
-    for d in range(1, hi // (k - 1) + 1):
-        run = rev
-        for shift in range(d, (k - 1) * d, d):
-            run &= rev >> shift
+    z = table.find(1, 0, hi + 1)
+    while z >= 0:
+        run = forward & ((1 << z) - (1 << (z - z // (k - 2))))
+        for j in steps:
             if not run:
                 break
-        else:
-            covered |= run >> d
-    return covered
-
-
-def _covered_by_members(table, hi: int) -> int:
-    """`covered` for k = 3 by one shift-OR per member y <= hi.
-
-    n is covered iff n = 2y - x for members x < y.  Bit x of the forward
-    bitset F is set iff x is a member; shifting the members below y,
-    F & ((1 << y) - 1), by hi - 2y (left when that is >= 0, right
-    otherwise) moves x to bit hi - (2y - x), where `covered` is indexed
-    like the per-d loop's.  Values 2y - x above hi fall off the bottom.
-    A holds about 3.6 * sqrt(hi) members up to hi, so this is about
-    sqrt(hi) passes against the per-d loop's hi // 2.  The members are
-    walked in the table, not in a separate list.
-    """
-    forward = int(bytes(table[hi::-1]).translate(_BITS), 2)
-    covered = 0
-    y = table.find(1, 0, hi + 1)
-    while y >= 0:
-        below = forward & ((1 << y) - 1)
-        shift = hi - 2 * y
-        covered |= below << shift if shift >= 0 else below >> -shift
-        y = table.find(1, y + 1, hi + 1)
+            r = z % j
+            g = classes.get((j, r))
+            if g is None:
+                g = classes[j, r] = int(line[r::j][::-1], 2)
+            width = z // j
+            run &= (g & ((1 << width) - 1)) << (z - width)
+        shift = hi - 2 * z
+        covered |= run << shift if shift >= 0 else run >> -shift
+        z = table.find(1, z + 1, hi + 1)
     return covered

@@ -24,13 +24,14 @@ MAX_JOBS = 64
 
 #: Ceiling on min-n0 and explore-problem1 --upto; larger values are
 #: rejected before anything is allocated.  The scan holds a membership
-#: table of upto + 1 bytes (10 MB at the ceiling).  min-n0 scans A with
-#: one shift per member: at the ceiling one process takes 3.9 s at
-#: 51 MB peak RSS.  explore-problem1 at --order 4 and beyond scans with
-#: one pass per difference, growing with the square of upto, after a
-#: Stanley generation that grows faster still: from seed 0,1, --order 4
-#: takes 9.4 min at 10^6 (44 MB) and does not finish within 15 min at
-#: 10^7.
+#: table of upto + 1 bytes (10 MB at the ceiling) and makes one pass per
+#: member, at any order.  min-n0 scans A, one shift per member: at the
+#: ceiling one process takes 3.9-6.5 s at 50 MB peak RSS.
+#: explore-problem1 first generates a Stanley sequence, which grows
+#: faster than the square of upto and takes nearly all of its time:
+#: from seed 0,1, --order 4 takes 48-50 s at 2 * 10^5 (22 MB), of
+#: which the scan is under 1 s, and 13 min at 10^6 (45 MB), so 10^7
+#: would take hours.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
@@ -65,6 +66,10 @@ class _Usage(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _Usage(f"{self.prog}: error: {message}")
+
+    def print_help(self, file=None):
+        # argparse's own print_help swallows a failed write
+        (file or sys.stdout).write(self.format_help())
 
 
 def _at_most(option: str, value: int, ceiling: int) -> None:

@@ -5,9 +5,9 @@ protocol (strictly increasing iteration + membership), so the same
 oracle validates the block construction, Stanley sequences and ad-hoc
 sets.  Single queries scan the common difference d = 1, 2, ...
 directly.  Bulk range scans go through _kernels.uncovered_scan, which
-covers every n at once with shifted big-int bitsets of the members:
-for k = 3 one shift per member y, since n is covered iff n = 2y - x
-for members x < y; for k >= 4 one AND-ing pass per difference d (same
+covers every n at once with shifted big-int bitsets of the members,
+one pass per member for every k: n = 2z - y for members y < z, and
+each further term ANDs in one residue class of the members (same
 verdicts as covers, much cheaper).
 """
 

@@ -44,7 +44,7 @@ class Element:
             raise ValueError(
                 f"expected {self.level} low digits, got {len(self.low)}"
             )
-        if any(d not in (1, 2) for d in self.low):
+        if self.low.count(1) + self.low.count(2) != self.level:
             raise ValueError(f"low digits must be 1 or 2, got {self.low}")
 
 

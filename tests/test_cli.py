@@ -115,7 +115,7 @@ def test_min_n0(capsys):
 
 
 def test_min_n0_frozen_at_10_6(capsys):
-    # the per-member scan does this in about 0.1 s; the per-d loop took 37 s
+    # one shift per member of A, about 3600 passes: a fraction of a second
     code, out, _ = run(capsys, "min-n0", "--upto", "1000000")
     assert code == 0
     assert out == "n0=2 scanned_to=1000000\n"
@@ -333,6 +333,36 @@ def test_explore_problem1(capsys):
             " 675 750 760 775 777 780 781 1250 3125 3375 3750 3800 3875 3885 3900"
             " 3902 3905 3906\n",
         ),
+        (
+            "4",
+            "20000",
+            "stanley_order=5 terms=5633 max_term=20000 scanned_to=20000 uncovered=50\n"
+            "uncovered: 0 1 2 5 6 10 25 27 30 31 50 125 135 150 152 155 156 250"
+            " 625 675 750 760 775 777 780 781 1250 3125 3375 3750 3800 3875"
+            " 3885 3900 3902 3905 3906 6250 15625 16875 18750 19000 19375 19425"
+            " 19500 19510 19525 19527 19530 19531\n",
+        ),
+        (
+            "5",
+            "5000",
+            "stanley_order=6 terms=1551 max_term=4999 scanned_to=5000 uncovered=55\n"
+            "uncovered: 0 1 2 3 6 7 9 11 13 14 17 18 19 34 35 38 49 51 59 62 87"
+            " 95 97 103 106 121 123 133 153 182 243 265 301 307 345 355 368 434"
+            " 449 459 681 693 725 737 766 1015 1036 1144 1208 1362 1577 1769"
+            " 2198 2255 3590\n",
+        ),
+        (
+            "6",
+            "3000",
+            "stanley_order=7 terms=1703 max_term=3000 scanned_to=3000 uncovered=106\n"
+            "uncovered: 0 1 2 3 4 7 8 9 10 14 15 16 21 22 28 49 50 51 52 53 56"
+            " 57 58 63 65 70 71 98 100 105 112 114 147 154 196 343 345 350 353"
+            " 357 358 359 364 365 371 392 393 394 395 396 399 400 401 406 408"
+            " 441 455 457 490 497 686 700 702 735 784 798 800 1029 1078 1372"
+            " 2401 2415 2417 2450 2471 2499 2501 2506 2513 2515 2548 2555 2597"
+            " 2744 2746 2751 2754 2758 2759 2760 2765 2766 2772 2793 2794 2795"
+            " 2796 2797 2800 2801 2802 2807 2809 2842 2856 2858\n",
+        ),
     ],
 )
 def test_explore_problem1_frozen(capsys, order, upto, expected):
@@ -439,7 +469,10 @@ BUFFERING = ["", "1"]
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", BUFFERING)
-@pytest.mark.parametrize("argv", [["member", "5"], ["density", "--max-level", "3"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "5"], ["density", "--max-level", "3"], ["--help"], ["member", "--help"]],
+)
 def test_stdout_full_is_one_line_exit_2(argv, unbuffered):
     with open("/dev/full", "w") as full:
         done = subprocess.run(

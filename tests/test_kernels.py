@@ -120,24 +120,31 @@ A_3000 = tuple(brute.elements_upto(3_000))
 EVENS_200 = tuple(range(0, 201, 2))
 STANLEY_2000 = {
     order: tuple(stanley.generate_upto([0, 1], order, 2_000))
-    for order in (4, 5, 6)
+    for order in (4, 5, 6, 7)
 }
 
 SCANS = {
     "A-k3": (A_3000, 3_001, 0, 3_000, 3),
     "evens-k3": (EVENS_200, 201, 0, 200, 3),
     "evens-k4": (EVENS_200, 201, 0, 200, 4),
+    "evens-k6": (EVENS_200, 201, 0, 200, 6),
     **{
         f"stanley{order}-k{k}": (STANLEY_2000[order], 2_001, 0, 2_000, k)
         for order in (4, 5, 6)
         for k in (3, 4, 5)
     },
+    **{f"stanley{order}-k6": (STANLEY_2000[order], 2_001, 0, 2_000, 6) for order in (6, 7)},
     # hi is covered only by the largest difference hi // (k-1)
     "largest-d-k3": ((0, 150), 301, 0, 300, 3),
     "largest-d-k4": ((0, 100, 200), 301, 0, 300, 4),
+    "largest-d-k5": ((0, 100, 200, 300), 401, 0, 400, 5),
+    "largest-d-k6": ((0, 100, 200, 300, 400), 501, 0, 500, 6),
+    # only 299 and 300 are covered, each with d = 1 through 298 lower terms
+    "consecutive-k300": (tuple(range(301)), 301, 0, 300, 300),
     "A-window-lo>0": (A_3000, 3_001, 1_700, 2_345, 3),
     "A-table-longer-than-hi": (A_3000, 3_001, 0, 1_000, 3),
     "stanley5-window-longer-table-k4": (STANLEY_2000[5], 2_001, 37, 1_234, 4),
+    "stanley7-window-longer-table-k6": (STANLEY_2000[7], 2_001, 101, 1_500, 6),
 }
 
 
@@ -153,7 +160,7 @@ def test_scan_matches_brute(values, length, lo, hi, k):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sets(st.integers(0, 300)),
-    st.integers(3, 5),
+    st.integers(3, 6),
     st.integers(0, 300),
     st.integers(0, 300),
 )
@@ -165,57 +172,25 @@ def test_scan_matches_brute_random_sets(members, k, x, y):
     assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
 
 
-K3_LOOPS = {
-    "per-member": _kernels._covered_by_members,
-    "per-d": lambda table, hi: _kernels._covered_by_differences(table, hi, 3),
-}
+def _brute_covered(values, length, hi, k):
+    # bit hi - n set iff n <= hi is covered, as _covered returns it
+    uncovered = [n for n in _brute_uncovered(values, 0, length - 1, k) if n <= hi]
+    return ((1 << (hi + 1)) - 1) ^ sum(1 << (hi - n) for n in uncovered)
 
 
-def _uncovered_from(covered, lo, hi):
-    # bit hi - n of covered is set iff n is covered
-    return [n for n in range(lo, hi + 1) if not covered >> (hi - n) & 1]
+@pytest.mark.parametrize("values, length, lo, hi, k", SCANS.values(), ids=SCANS.keys())
+def test_covered_matches_brute(values, length, lo, hi, k):
+    table = _table_of(values, length)
+    assert _kernels._covered(table, hi, k) == _brute_covered(values, length, hi, k)
 
 
-K3_SCANS = {name: case for name, case in SCANS.items() if case[-1] == 3}
-
-
-@pytest.mark.parametrize("loop", K3_LOOPS.values(), ids=K3_LOOPS.keys())
-@pytest.mark.parametrize("values, length, lo, hi, k", K3_SCANS.values(), ids=K3_SCANS.keys())
-def test_k3_loop_matches_brute(loop, values, length, lo, hi, k):
-    whole = _brute_uncovered(values, 0, length - 1, k)
-    expected = [n for n in whole if lo <= n <= hi]
-    assert _uncovered_from(loop(_table_of(values, length), hi), lo, hi) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sets(st.integers(0, 300)), st.integers(0, 300), st.integers(0, 300))
-def test_k3_loops_match_brute_random_sets(members, x, y):
-    lo, hi = min(x, y), max(x, y)
-    values = tuple(sorted(members))
-    table = _table_of(values, 301)
-    expected = _brute_uncovered(values, lo, hi, 3)
-    for loop in K3_LOOPS.values():
-        assert _uncovered_from(loop(table, hi), lo, hi) == expected
-
-
-def _must_not_run(*args):
-    raise AssertionError("the other loop should have been chosen")
-
-
-@pytest.mark.parametrize(
-    "values, hi, k, unused",
-    [
-        (tuple(brute.elements_upto(8_000)), 8_000, 3, "_covered_by_differences"),
-        # scaling by 2 is not a shift, so k = 4 takes the per-d loop
-        (tuple(brute.elements_upto(8_000)), 8_000, 4, "_covered_by_members"),
-    ],
-    ids=["k3", "k4"],
-)
-def test_scan_chooses_the_loop_by_k(monkeypatch, values, hi, k, unused):
-    table = _table_of(values, hi + 1)
-    expected = _kernels.uncovered_scan(table, list(values), 0, hi, k)
-    monkeypatch.setattr(_kernels, unused, _must_not_run)
-    assert _kernels.uncovered_scan(table, list(values), 0, hi, k) == expected
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=301), st.integers(3, 6), st.data())
+def test_covered_matches_brute_random_tables(flags, k, data):
+    # about half of each table is set, so k-APs up to k = 6 are common
+    hi = data.draw(st.integers(0, len(flags) - 1))
+    values = tuple(i for i, flag in enumerate(flags) if flag)
+    assert _kernels._covered(bytearray(flags), hi, k) == _brute_covered(values, len(flags), hi, k)
 
 
 def test_scan_reads_members_from_the_table():
