@@ -27,21 +27,27 @@ MAX_JOBS = 64
 #: table of upto + 1 bytes (10 MB at the ceiling) and makes one pass per
 #: member, at any order.  min-n0 scans A, one shift per member: at the
 #: ceiling one process takes 3.9-6.5 s at 50 MB peak RSS.
-#: explore-problem1 first generates a Stanley sequence, which grows
-#: faster than the square of upto and takes nearly all of its time:
-#: from seed 0,1, --order 4 takes 48-50 s at 2 * 10^5 (22 MB), of
-#: which the scan is under 1 s, and 13 min at 10^6 (45 MB), so 10^7
-#: would take hours.
+#: explore-problem1 first generates a Stanley sequence of order K + 1.
+#: At a prime order from seed 0,1 that is a closed form and the scan
+#: takes nearly all of the time, growing with the square of upto:
+#: --order 4 takes 1.4 s at 2 * 10^5 (22 MB) and 18 s at 10^6 (43 MB),
+#: so about half an hour at the ceiling (extrapolated, not run).  Other
+#: seeds and composite orders K + 1 take the sieve, which grows faster
+#: than the square of upto: --order 3 from 0,1 takes 25 s at 10^6.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
-#: Time grows with the square of count and the sieve with the largest
-#: term (order 3 from 0,1: 4000 terms take under 1 s and 20 MB peak
-#: RSS, 10^4 terms about 4 s and 24 MB, 3 * 10^4 terms 35 s and 39 MB,
-#: 5 * 10^4 terms 97-103 s and 87 MB, measured as one CLI process on a
-#: 2-core x86-64 host).  At the ceiling, extrapolated and not run: about
-#: 7 min (the time quadruples) and 240 MB (the largest term, which sizes
-#: the sieve, triples from 1.9e7 to 5.7e7).
+#: At a prime order, from 0 or 0,1 or any other start of the sequence
+#: from 0, the terms come from a closed form: order 3 from 0,1 takes
+#: 0.2 s and 30 MB peak RSS at the ceiling.
+#: Every other seed and order takes the sieve, whose time grows with the
+#: square of count and whose bytes with the largest term (order 3 from
+#: 0,2: 4000 terms take 0.8 s and 17 MB, 10^4 terms 4 s and 21 MB,
+#: 3 * 10^4 terms 39 s and 37 MB, 5 * 10^4 terms 105 s and 86 MB,
+#: measured as one CLI process on a 2-core x86-64 host).  At the
+#: ceiling, extrapolated and not run: about 7 min (the time quadruples)
+#: and 240 MB (the largest term, which sizes the sieve, triples from
+#: 1.9e7 to 5.7e7).
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The

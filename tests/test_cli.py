@@ -1,10 +1,12 @@
 import argparse
 import errno
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -151,6 +153,25 @@ def test_stanley(capsys):
     assert out == "0 1 3 4 9 10 12 13\n"
 
 
+@pytest.mark.parametrize(
+    "order, seed, count, size, digest",
+    [
+        ("5", "0,1", "2000", 9480,
+         "40af3f1ff8e4b1783f5f1edf2e2c4c6688bbd7865b147f20090d3ce04b179673"),
+        ("3", "0", "3000", 18306,
+         "18ee082d5d7be8412d1ffea314cc9d98160799fc5bda6f64cd8091bb35e4ad50"),
+    ],
+)
+def test_stanley_frozen(capsys, order, seed, count, size, digest):
+    # stdout recorded from the sieve before prime orders took the closed form
+    code, out, _ = run(
+        capsys, "stanley", "--order", order, "--seed", seed, "--count", count
+    )
+    assert code == 0
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("count", [cli.MAX_COUNT + 1, 10**30])
 def test_stanley_count_too_large(capsys, monkeypatch, count):
     monkeypatch.setattr(cli.stanley, "generate", _refuse_to_run)
@@ -176,13 +197,19 @@ def test_stanley_sparse_seed(capsys):
 
 
 def test_stanley_huge_order(capsys):
-    # no 10**18-term AP fits in these terms; the per-term filter must stop
-    # once no candidate is left instead of running once per order
-    code, out, _ = run(
-        capsys, "stanley", "--order", str(10**18), "--seed", "0,1", "--count", "20"
-    )
-    assert code == 0
-    assert out == " ".join(map(str, range(20))) + "\n"
+    # no order-term AP fits in these terms; the per-term filter must stop
+    # once no candidate is left instead of running once per order, and at
+    # a prime order (the largest below 2^32; 2^61 - 1 keeps the sieve)
+    # the closed form must not build a whole level of order - 1 terms
+    for order in (10**18, 4294967291, 2**61 - 1):
+        tracemalloc.start()
+        code, out, _ = run(
+            capsys, "stanley", "--order", str(order), "--seed", "0,1", "--count", "20"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 0 and peak < 2**20, (order, peak)
+        assert out == " ".join(map(str, range(20))) + "\n"
     code, out, _ = run(
         capsys, "explore-problem1", "--order", str(10**18), "--seed", "0,1",
         "--upto", "1000",
@@ -341,6 +368,17 @@ def test_explore_problem1(capsys):
             " 625 675 750 760 775 777 780 781 1250 3125 3375 3750 3800 3875"
             " 3885 3900 3902 3905 3906 6250 15625 16875 18750 19000 19375 19425"
             " 19500 19510 19525 19527 19530 19531\n",
+        ),
+        (
+            "4",
+            "100000",
+            "stanley_order=5 terms=22529 max_term=100000 scanned_to=100000"
+            " uncovered=65\n"
+            "uncovered: 0 1 2 5 6 10 25 27 30 31 50 125 135 150 152 155 156 250"
+            " 625 675 750 760 775 777 780 781 1250 3125 3375 3750 3800 3875"
+            " 3885 3900 3902 3905 3906 6250 15625 16875 18750 19000 19375 19425"
+            " 19500 19510 19525 19527 19530 19531 31250 78125 84375 93750 95000"
+            " 96875 97125 97500 97550 97625 97635 97650 97652 97655 97656\n",
         ),
         (
             "5",

@@ -1,9 +1,13 @@
+from contextlib import contextmanager
+from itertools import count as naturals, islice
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
 from apcover.oracle import has_k_ap
+from apcover import stanley
 from apcover.stanley import generate, generate_upto, greedy_next
 
 STANLEY_01_16 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
@@ -138,3 +142,89 @@ def test_base3_closed_form_2000_terms():
     # from 0, 1 the order-3 terms are the numbers with base-3 digits 0/1
     terms = generate([0, 1], 3, 2000)
     assert terms == [int(bin(i)[2:], 3) for i in range(2000)]
+
+
+
+def no_top_digit(n, p):
+    """n has no base-p digit p - 1."""
+    while n:
+        n, d = divmod(n, p)
+        if d == p - 1:
+            return False
+    return True
+
+
+def digit_free(p, count):
+    """The first count numbers with no base-p digit p - 1."""
+    return list(islice((n for n in naturals() if no_top_digit(n, p)), count))
+
+
+@contextmanager
+def sieve_calls():
+    """Record the (seed, k) of every call to the sieve `_extend`."""
+    calls = []
+    extend = stanley._extend
+
+    def counted(seed, k):
+        calls.append((seed, k))
+        return extend(seed, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stanley, "_extend", counted)
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(1, 6),
+    st.integers(0, 300),
+    st.integers(0, 24),
+)
+def test_closed_form_matches_sieve_and_naive(p, length, extra, small):
+    # every prefix of the order-p sequence from 0 takes the closed form
+    seed = digit_free(p, length)
+    count = length + extra
+    with sieve_calls() as calls:
+        terms = generate(seed, p, count)
+        short = generate(seed, p, length + small)
+    assert calls == []
+    sieve = seed + list(islice(stanley._extend(seed, p), extra))
+    assert terms == sieve == digit_free(p, count)
+    assert short == brute.stanley_naive(seed, p, length + small)
+    for i in range(length, count, max(1, extra // 5)):
+        assert generate_upto(seed, p, terms[i]) == terms[: i + 1]
+        assert generate_upto(seed, p, terms[i] - 1) == terms[:i]
+
+
+@pytest.mark.parametrize(
+    "seed, k",
+    [([0, 2], 3), ([0, 1, 3], 5), ([0, 1, 2, 3, 4, 6], 7), ([1], 3),
+     ([0], 4), ([0, 1], 4), ([0, 1, 2, 4], 4), ([0, 1], 6), ([0, 1, 2, 3, 4], 6)],
+)
+def test_near_miss_seeds_and_composite_orders_keep_the_sieve(seed, k):
+    with sieve_calls() as calls:
+        terms = generate(seed, k, 120)
+        assert generate_upto(seed, k, terms[-1]) == terms
+    assert calls == [(seed, k)] * 2
+    assert terms == one_step(seed, k, 120)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 6]), st.sets(st.integers(0, 40), min_size=1, max_size=6))
+def test_composite_orders_always_sieve(k, values):
+    seed = sorted(values)
+    assume(not has_k_ap(seed, k))
+    with sieve_calls() as calls:
+        generate(seed, k, len(seed) + 5)
+    assert calls == [(seed, k)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_base_seed_never_reaches_the_sieve(p):
+    with sieve_calls() as calls:
+        terms = generate([0, 1], p, 500)
+        upto = generate_upto([0, 1], p, 1000)
+    assert calls == []
+    assert terms == digit_free(p, 500)
+    assert upto == [n for n in range(1001) if no_top_digit(n, p)]
