@@ -9,11 +9,16 @@ covers every n at once with shifted big-int bitsets of the members,
 one pass per member for every k: n = 2z - y for members y < z, and
 each further term ANDs in one residue class of the members (same
 verdicts as covers, much cheaper).
+
+`ap_tails` is the one k-AP filter on explicit ascending lists: the
+terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
+asks it of every term against those before it, and the Stanley
+generators ask it of each candidate or new term.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Protocol
 
 from . import _kernels
@@ -106,11 +111,29 @@ def min_threshold(seq: IntegerSequence, k: int, scan_to: int) -> int | None:
     return uncovered[-1] if uncovered else None
 
 
+def ap_tails(t: int, earlier: list[int], present, m: int) -> list[int]:
+    """Each s < t in `earlier` whose d = t - s gives an m-term AP ending at t.
+
+    s qualifies when t - j*d is in `present` for j = 2..m-1.  `earlier`
+    is ascending and no term may lie below its first value, so only
+    s >= t - (t - earlier[0]) // (m-1) are tried; the candidates are
+    filtered one j at a time, stopping once none is left.
+    """
+    if not earlier:
+        return []
+    lo = bisect_left(earlier, t - (t - earlier[0]) // (m - 1))
+    tails = earlier[lo : bisect_left(earlier, t, lo)]
+    for j in range(2, m):
+        if not tails:  # huge m: stop after the last candidate goes
+            break
+        tails = [s for s in tails if t - j * (t - s) in present]
+    return tails
+
+
 def has_k_ap(values, k: int = 3) -> bool:
     """True iff the strictly increasing list contains a k-term AP.
 
-    Standalone all-pairs check: each pair fixes a start and difference,
-    the remaining k-2 terms are looked up in a set.
+    Some term t must end a k-term AP whose other terms come before it.
     """
     if k < 3:
         raise ValueError(f"progression length must be >= 3, got {k}")
@@ -118,29 +141,4 @@ def has_k_ap(values, k: int = 3) -> bool:
     if any(y <= x for x, y in zip(values, values[1:])):
         raise ValueError("values must be strictly increasing")
     present = set(values)
-    for i, x in enumerate(values):
-        for y in values[i + 1 :]:
-            d = y - x
-            if all(y + j * d in present for j in range(1, k - 1)):
-                return True
-    return False
-
-
-def creates_ap(
-    sorted_members: list[int], member_set: set[int], candidate: int, k: int = 3
-) -> bool:
-    """Would adding `candidate` (larger than every member) create a k-AP?
-
-    Only progressions ending at the candidate can appear, so only
-    differences d = candidate - m for existing members m matter; they
-    are tried in increasing order until candidate - (k-1)*d would go
-    negative.
-    """
-    d_max = candidate // (k - 1)
-    for m in reversed(sorted_members):
-        d = candidate - m
-        if d > d_max:
-            break
-        if all(candidate - j * d in member_set for j in range(2, k)):
-            return True
-    return False
+    return any(ap_tails(t, values, present, k) for t in values)

@@ -11,17 +11,19 @@ linear time.  Every other seed and order goes through the incremental
 sieve `_extend`: when a term t is appended it marks every value t + d
 that would end a k-AP whose other terms t, t - d, ..., t - (k-2)d are
 already present, so the next term is the first unmarked value.  Its
-time grows with the square of the term count or faster.
+time grows with the square of the term count or faster.  The seed check,
+`greedy_next` and the sieve's marks all come from one filter,
+`oracle.ap_tails`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import islice, takewhile
 from math import isqrt
 from typing import Iterator
 
-from .oracle import creates_ap, has_k_ap
+from .oracle import ap_tails, has_k_ap
 
 
 def _check_seed(seed: list[int], k: int) -> list[int]:
@@ -31,15 +33,15 @@ def _check_seed(seed: list[int], k: int) -> list[int]:
     if seed[0] < 0:
         raise ValueError("seed terms must be nonnegative")
     if has_k_ap(seed, k):  # also rejects unsorted seeds
-        raise ValueError(f"seed {seed} contains a {k}-term AP")
+        raise ValueError(f"seed contains a {k}-term AP")
     return seed
 
 
 def greedy_next(produced: list[int], k: int = 3) -> int:
     """Smallest integer above produced[-1] keeping the set k-AP-free."""
-    member_set = set(produced)
+    present = set(produced)
     candidate = produced[-1] + 1
-    while creates_ap(produced, member_set, candidate, k):
+    while ap_tails(candidate, produced, present, k):
         candidate += 1
     return candidate
 
@@ -68,13 +70,8 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
             sieve[x - base] = 1
 
     def add(t: int) -> None:
-        # earlier terms s = t - d with t - (k-2)d >= 0, kept while
-        # t - jd is a term for j = 2..k-2; each forbids t + d = 2t - s
-        ss = terms[bisect_left(terms, t - t // (k - 2)):]
-        for j in range(2, k - 1):
-            if not ss:  # huge k: stop after the last candidate goes
-                break
-            ss = [s for s in ss if t - j * (t - s) in present]
+        # each s that ends a (k-1)-term AP at t forbids t + d = 2t - s
+        ss = ap_tails(t, terms, present, k - 1)
         terms.append(t)
         present.add(t)
         while len(sieve) <= 2 * (t - base) + 1:

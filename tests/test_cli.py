@@ -13,7 +13,7 @@ import pytest
 import apcover
 import brute
 from apcover import cli
-from apcover.stanley import greedy_next
+from apcover.stanley import generate, greedy_next
 
 
 def run(capsys, *argv):
@@ -73,28 +73,18 @@ def test_verify_covering(capsys):
     assert out == "checked=19969 failures=0\n"
 
 
-def test_verify_covering_jobs_match_single(capsys):
-    _, single, _ = run(capsys, "verify-covering", "--from", "32", "--to", "5000")
-    code, multi, _ = run(
-        capsys, "verify-covering", "--from", "32", "--to", "5000", "--jobs", "3"
-    )
-    assert code == 0
-    assert multi == single
-
-
 def test_verify_covering_far_range(capsys):
     # blocks of up to 4**58 n are each certified by their first n
     code, out, err = run(capsys, "verify-covering", "--from", "32", "--to", str(4**60))
     assert (code, out, err) == (0, f"checked={4**60 - 31} failures=0\n", "")
 
 
-def test_verify_covering_jobs_out_of_range(capsys):
-    for jobs in ("0", str(cli.MAX_JOBS + 1), "1000000"):
-        code, out, err = run(
-            capsys, "verify-covering", "--from", "32", "--to", "100", "--jobs", jobs
-        )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "--jobs" in err
+def test_verify_covering_has_no_jobs_option(capsys):
+    code, out, err = run(
+        capsys, "verify-covering", "--from", "32", "--to", "100", "--jobs", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--jobs" in err
 
 
 def test_verify_covering_bad_range(capsys):
@@ -236,6 +226,28 @@ def test_stanley_bad_seed(capsys):
     )
     assert code == 2
     assert "3-term AP" in err
+
+
+def test_stanley_long_seed(capsys):
+    # stdout recorded when the seed check was a pair scan; a seed error
+    # names no terms
+    seed = generate([0, 2], 3, 2000)
+    code, out, _ = run(
+        capsys, "stanley", "--order", "3", "--seed", ",".join(map(str, seed)),
+        "--count", "2010",
+    )
+    assert code == 0
+    assert len(out) == 11414
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8602d94cbd7fb7de9bb91d1f325c302372f041ba908bfd12a37d1b532403cac8"
+    )
+    bad = seed + [2 * seed[-1] - seed[-2]]
+    code, out, err = run(
+        capsys, "stanley", "--order", "3", "--seed", ",".join(map(str, bad)),
+        "--count", "2010",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200 and "3-term AP" in err
 
 
 def test_density_csv_stdout(capsys):

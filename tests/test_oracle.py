@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from apcover import oracle
 from apcover.oracle import (
     FiniteSet,
+    ap_tails,
     covers,
-    creates_ap,
     has_k_ap,
     min_threshold,
     uncovered_in_range,
@@ -132,12 +134,36 @@ def test_has_k_ap_rejects_unsorted():
         has_k_ap([1, 1, 2], 3)
 
 
-def test_creates_ap_matches_standalone():
-    members = [0, 1, 3, 4, 9]
-    mset = set(members)
-    for candidate in range(10, 30):
-        expected = has_k_ap(sorted(members + [candidate]), 3)
-        assert creates_ap(members, mset, candidate, 3) == expected
+def test_has_k_ap_below_zero():
+    # the lowest term bounds the difference, not 0
+    assert has_k_ap([-5, 0, 5], 3)
+    assert has_k_ap([-9, -6, -4, -3, 0], 4)  # -9, -6, -3, 0
+    assert not has_k_ap([-5, 0, 6], 3)
+
+
+ORDERS = st.sampled_from([3, 4, 5, 6, 10**18])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(-40, 40), max_size=12), ORDERS)
+def test_has_k_ap_matches_brute(values, k):
+    values = sorted(values)
+    assert has_k_ap(values, k) == brute.contains_k_ap(values, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(0, 60), min_size=1, max_size=12),
+    st.integers(1, 60),
+    ORDERS,
+)
+def test_ap_tails_matches_brute(values, above, k):
+    members = sorted(values)
+    c = members[-1] + above
+    tails = ap_tails(c, members, set(members), k)
+    assert bool(tails) == brute.ap_completes_at(set(members), c, k)
+    diffs = brute.all_cover_diffs(set(members), c, k)
+    assert tails == [c - d for d in reversed(diffs)]
 
 
 def test_finite_set_validation():
