@@ -27,23 +27,24 @@ from .witness import MIN_N, find_witness, validate
 #: takes nearly all of the time, growing with the square of upto:
 #: --order 4 takes 1.4 s at 2 * 10^5 (22 MB) and 18 s at 10^6 (43 MB),
 #: so about half an hour at the ceiling (extrapolated, not run).  Other
-#: seeds and composite orders K + 1 take the sieve, which grows faster
-#: than the square of upto: --order 3 from 0,1 takes 25 s at 10^6.
+#: seeds and composite orders K + 1 take the bitset sieve, whose time
+#: grows with the term count times upto, as the scan's does: --order 3
+#: from 0,1 takes 0.26 s at 2 * 10^5 and 2.5 s at 10^6 (23 MB), about
+#: half of it generation.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
 #: At a prime order, from 0 or 0,1 or any other start of the sequence
 #: from 0, the terms come from a closed form: order 3 from 0,1 takes
 #: 0.2 s and 30 MB peak RSS at the ceiling.
-#: Every other seed and order takes the sieve, whose time grows with the
-#: square of count and whose bytes with the largest term (order 3 from
-#: 0,2: 4000 terms take 0.8 s and 17 MB, 10^4 terms 4 s and 21 MB,
-#: 3 * 10^4 terms 39 s and 37 MB, 5 * 10^4 terms 105 s and 86 MB,
-#: measured as one CLI process on a 2-core x86-64 host).  At the
-#: ceiling, extrapolated and not run: about 7 min (the time quadruples)
-#: and 240 MB (the largest term, which sizes the sieve, triples from
-#: 1.9e7 to 5.7e7).  The seed is checked first, in time about quadratic
-#: in its length: 0.3 s for the first 4000 order-3 terms from 0,2.
+#: Every other seed and order takes the bitset sieve, whose time grows
+#: with count times the largest term and whose memory with the largest
+#: term (order 3 from 0,2: 4000 terms take 0.17 s and 16 MB, 10^4 terms
+#: 1.0 s and 18 MB, 3 * 10^4 terms 9.3 s and 23 MB, 5 * 10^4 terms 35 s
+#: and 38 MB, and 10^5 terms, the ceiling, 210 s and 62 MB, measured as
+#: one CLI process on a 2-core x86-64 host).  The seed is checked
+#: first, in time about quadratic in its length: 0.3 s for the first
+#: 4000 order-3 terms from 0,2.
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The
@@ -87,10 +88,13 @@ def _decimal(values, what: str) -> str:
 
 
 def _parse_seed(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list: {text!r}")
+    seed = []
+    for part in filter(None, text.split(",")):
+        try:
+            seed.append(int(part))
+        except ValueError:  # quote the first bad part, not the whole list
+            raise argparse.ArgumentTypeError(f"bad seed list: {part[:40]!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,10 @@ verdicts as covers, much cheaper).
 
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
-asks it of every term against those before it, and the Stanley
-generators ask it of each candidate or new term.
+asks it of every term against those before it and `greedy_next` of
+each candidate.  The Stanley sieve runs the scan's per-member pass
+online instead, and asks `ap_tails` only about k-APs that lie wholly
+in the seed terms below its floor.
 """
 
 from __future__ import annotations

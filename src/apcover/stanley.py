@@ -8,19 +8,19 @@ definition.  `generate` and `generate_upto` take their terms from
 seed that starts the sequence from 0 ([0], [0, 1], ...), the terms are
 the numbers with no base-p digit p - 1 (`_no_top_digit`), enumerated in
 linear time.  Every other seed and order goes through the incremental
-sieve `_extend`: when a term t is appended it marks every value t + d
-that would end a k-AP whose other terms t, t - d, ..., t - (k-2)d are
-already present, so the next term is the first unmarked value.  Its
-time grows with the square of the term count or faster.  The seed check,
-`greedy_next` and the sieve's marks all come from one filter,
-`oracle.ap_tails`.
+sieve `_extend`: a bitset of the values t + d that end a k-AP whose
+other terms t, t - d, ..., t - (k-2)d are present, ORed in by one
+covering-scan pass per new term t, so the next term is its lowest zero
+bit.  A term costs a few shifts and ANDs on ints about as many bits
+long as the largest term, so the time grows with the term count times
+the largest term.  The seed check, `greedy_next` and the sieve's test
+of k-APs below its floor come from one filter, `oracle.ap_tails`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import islice, takewhile
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterator
 
 from .oracle import ap_tails, has_k_ap
@@ -49,52 +49,104 @@ def greedy_next(produced: list[int], k: int = 3) -> int:
 def _extend(seed: list[int], k: int) -> Iterator[int]:
     """Yield the terms after a checked seed, one at a time, forever.
 
-    sieve[o] = 1 forbids base + o, where base = seed[-1] + 1 is the first
-    candidate.  Before t marks, the sieve doubles until it holds offset
-    2(t - base) + 1, the farthest mark of a pair s < t with s >= seed[-1].
-    A mark beyond the sieve comes from an earlier seed term across a gap
-    inside the seed; it waits in `far` until the sieve grows over it, so
-    no allocation grows with that gap.
+    The next term is the next value that ends no k-AP of the terms below
+    it, so the sieve runs the covering scan's per-member pass
+    (`_kernels._covered`) online, once per new term t, over the terms at
+    or above a floor.  Three big ints hold the state:
+
+    * `rev`: bit top - v is set for each such term v;
+    * G[j][r]: bit i is bit r + j*i of `rev`, a residue class built from
+      `rev` on first use and then OR-updated per term;
+    * `covered`: bit i is set iff base + i ends a k-AP of those terms;
+      only the bits above the newest term are read.
+
+    The pass at t keeps each y = t - d below t with t - j*d a term for
+    j = 2 .. k-2; the class for j = k-2 (at k = 3, `rev` itself) keeps
+    t - (k-2)d at or above the floor.  `rev` shifted right by top - t + 1
+    puts y at bit d - 1, and each G[j][r] shifted right by (top - t) // j
+    + 1 lines its term t - j*d up with it.  Both shifts are shortened by
+    t + 1 - base, which moves y to the bit of t + d in `covered`, so the
+    pass is one OR into it; `covered` itself is shifted down to base =
+    t + 1 only when base lags more than 4096 bits behind, or when a
+    shortened shift would go negative.  The next term is the lowest zero
+    bit of `covered` above the newest term, searched in a low window
+    that widens only while it is full.  `top` doubles its distance to
+    the floor when a term passes it, and the classes are rebuilt then.
+    A term costs a few shifts, ANDs and ORs on ints about t - floor bits
+    long.
+
+    The floor is seed[i] for the highest i with 2 seed[i] - seed[i-1]
+    above the next undecided value x, else seed[0].  A k-AP ending at x
+    with terms on both sides of that gap steps d >= seed[i] - seed[i-1],
+    and its term x - d is at least seed[i], so x would reach that bound.
+    Below it every k-AP ending at x lies at or above the floor, which
+    `covered` holds, or wholly in seed[:i], which `ap_tails` decides.
+    When x reaches the bound, the state is rebuilt on the next floor by
+    replaying the terms, so no int grows with a gap in the seed that no
+    k-AP has yet crossed.
     """
-    base = seed[-1] + 1
-    sieve = bytearray(64)
-    far: set[int] = set()
-    terms: list[int] = []
-    present: set[int] = set()
-
-    def grow() -> None:
-        sieve.extend(bytes(len(sieve)))
-        inside = [x for x in far if x - base < len(sieve)]
-        far.difference_update(inside)
-        for x in inside:
-            sieve[x - base] = 1
-
-    def add(t: int) -> None:
-        # each s that ends a (k-1)-term AP at t forbids t + d = 2t - s
-        ss = ap_tails(t, terms, present, k - 1)
-        terms.append(t)
-        present.add(t)
-        while len(sieve) <= 2 * (t - base) + 1:
-            grow()
-        c = 2 * t - base  # the mark forbidden by s sits at c - s
-        del ss[bisect_right(ss, c):]  # below base: a seed pair
-        cut = bisect_right(ss, c - len(sieve))
-        far.update(base + c - s for s in ss[:cut])
-        del ss[:cut]
-        for s in ss:
-            sieve[c - s] = 1
-
-    for t in seed:
-        add(t)
-    pos = 0
+    terms = list(seed)
+    x = seed[-1] + 1  # the next undecided value
+    i = len(seed)
     while True:
-        o = sieve.find(0, pos)
-        while o < 0:
-            grow()
-            o = sieve.find(0, pos)
-        yield base + o
-        add(base + o)
-        pos = o + 1
+        i = next((h for h in range(i - 1, 0, -1) if 2 * seed[h] - seed[h - 1] > x), 0)
+        horizon = 2 * seed[i] - seed[i - 1] if i else inf
+        below = seed[:i]
+        present = set(below)
+        floor = top = base = seed[i]
+        rev = covered = 0
+        classes: dict[int, dict[int, int]] = {}  # j -> {r: G[j][r]}
+
+        def add(t: int) -> None:
+            nonlocal top, rev, covered, base
+            if t > top:
+                span = top - floor or 64
+                while floor + span < t:
+                    span *= 2
+                rev <<= floor + span - top
+                top = floor + span
+                classes.clear()
+            p = top - t
+            rev |= 1 << p
+            for j, g in classes.items():
+                r = p % j
+                if r in g:
+                    g[r] |= 1 << (p // j)
+            off = t + 1 - base  # shortens the shifts below
+            if off > min(p // (k - 2) + 1, 4096):
+                covered >>= off
+                base, off = t + 1, 0
+            # no k-AP fits when k - 2 steps of 1 reach below the floor
+            run = rev >> (p + 1 - off) if t - floor >= k - 2 else 0
+            for j in range(2, k - 1):
+                if not run:
+                    break
+                g = classes.setdefault(j, {})
+                r = p % j
+                if r not in g:
+                    g[r] = int(bin(rev)[:1:-1][r::j][::-1] or "0", 2)
+                run &= g[r] >> (p // j + 1 - off)
+            covered |= run
+
+        for t in terms[i:]:
+            add(t)
+        while x < horizon:
+            off, width = terms[-1] + 1 - base, 64
+            while True:  # widen the window while it is full
+                low = (covered & ((1 << (off + width)) - 1)) >> off
+                if low != (1 << width) - 1:
+                    break
+                width *= 2
+            x = terms[-1] + (low ^ (low + 1)).bit_length()  # its lowest zero bit
+            if x >= horizon:
+                break
+            if below and ap_tails(x, below, present, k):
+                covered |= 1 << (x - base)
+                continue
+            yield x
+            terms.append(x)
+            add(x)
+            x += 1
 
 
 def _no_top_digit(p: int) -> Iterator[int]:

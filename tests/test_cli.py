@@ -150,10 +150,13 @@ def test_stanley(capsys):
          "40af3f1ff8e4b1783f5f1edf2e2c4c6688bbd7865b147f20090d3ce04b179673"),
         ("3", "0", "3000", 18306,
          "18ee082d5d7be8412d1ffea314cc9d98160799fc5bda6f64cd8091bb35e4ad50"),
+        ("3", "0,2", "4000", 25306,
+         "82c5afa0cd36051753c55944c60d9e0caa882ff40cc3e4ab7d638f872cd7ca07"),
     ],
 )
 def test_stanley_frozen(capsys, order, seed, count, size, digest):
-    # stdout recorded from the sieve before prime orders took the closed form
+    # stdout recorded from the bytearray sieve, before prime orders took
+    # the closed form and before the sieve moved to bitsets
     code, out, _ = run(
         capsys, "stanley", "--order", order, "--seed", seed, "--count", count
     )
@@ -184,6 +187,24 @@ def test_stanley_sparse_seed(capsys):
     while len(terms) < 50:
         terms.append(greedy_next(terms, 3))
     assert out == " ".join(map(str, terms)) + "\n"
+
+
+def test_stanley_chain_seed_stays_small(capsys):
+    # 0, then 2^i + 1 up to 2^40 + 1: every gap is narrower than the span
+    # below it, so a sieve anchored at 0 would need a 2^40-bit int; stdout
+    # recorded from the bytearray sieve
+    seed = ",".join(map(str, [0] + [2**i + 1 for i in range(2, 41)]))
+    tracemalloc.start()
+    code, out, _ = run(
+        capsys, "stanley", "--order", "3", "--seed", seed, "--count", "60"
+    )
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0 and peak < 2**20, peak
+    assert len(out) == 588
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "01737cb2372c9b872096d4618627a0c3cedf0bcb0340671191bd478d846b929a"
+    )
 
 
 def test_stanley_huge_order(capsys):
@@ -365,6 +386,12 @@ def test_explore_problem1(capsys):
             "uncovered: 0 1 5 135\n",
         ),
         (
+            "3",
+            "100000",
+            "stanley_order=4 terms=5474 max_term=99989 scanned_to=100000 uncovered=4\n"
+            "uncovered: 0 1 5 135\n",
+        ),
+        (
             "4",
             "4000",
             "stanley_order=5 terms=1409 max_term=4000 scanned_to=4000 uncovered=37\n"
@@ -463,6 +490,22 @@ def test_usage_errors_exit_2(capsys):
         assert (code, out) == (2, ""), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
         assert message in err, argv
+
+
+def test_bad_seed_message_names_the_bad_part(capsys):
+    # a 4000-term seed with one stray character: the message quotes the
+    # first part that is not an integer, cut to 40 characters
+    seed = ",".join(map(str, generate([0, 2], 3, 4000)))
+    for text, quoted in [
+        (seed + "x", "'264749x'"),
+        ("0,2," + "7" * 90 + "x", "'" + "7" * 40 + "'"),
+    ]:
+        code, out, err = run(
+            capsys, "stanley", "--order", "3", "--seed", text, "--count", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200, len(err)
+        assert err.endswith(f"bad seed list: {quoted}\n")
 
 
 def test_help_exits_0(capsys):

@@ -87,12 +87,23 @@ def one_step(seed, k, count):
 def stanley_cases(draw):
     """(seed, k, count): a small AP-free seed, often followed by a gap.
 
-    A gap of 10^18 or more sends every mark from the terms before it far
-    beyond the sieve; a gap of 20..200 is one the terms later reach.
+    A gap of 10^18 or more keeps the terms after it far above the seed
+    terms before it; a gap of 20..200 is one the terms later reach.  A
+    chain seed is 0 followed by 2^i + c, each gap at most one wider than
+    the span below it, so k-APs lying wholly below the sieve's floor end
+    just above the seed.
     """
-    k = draw(st.integers(3, 5))
+    k = draw(st.integers(3, 8))
+    gap = draw(st.sampled_from([None, "near", "far", "chain"]))
+    if gap == "chain":
+        seed = [0]
+        for i in range(draw(st.integers(0, 12))):
+            v = 2**i + draw(st.integers(0, 3))
+            fits = seed[-1] < v <= 2 * seed[-1] + 1
+            if fits and not brute.contains_k_ap(seed + [v], k):
+                seed.append(v)
+        return seed, k, len(seed) + draw(st.integers(0, 40))
     seed = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=4)))
-    gap = draw(st.sampled_from([None, "near", "far"]))
     if gap is not None:
         step = draw(
             st.integers(20, 200) if gap == "near" else st.integers(10**18, 10**21)
@@ -130,11 +141,23 @@ def test_generate_upto_limit_at_and_below_a_term(seed, k):
     [([0, 300], 3), ([0, 1, 700], 3), ([0, 2, 500, 503], 4), ([1, 400], 5)],
 )
 def test_seed_gap_marks_reached(seed, k):
-    # the terms after the gap run past twice its width, so the marks the
-    # early seed terms left beyond the sieve come into play
+    # the terms after the gap run past twice its width, so k-APs with
+    # terms on both sides of the gap come into play
     terms = generate(seed, k, 400)
     assert terms[-1] > 2 * seed[-1]
     assert terms == one_step(seed, k, 400)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_run_crosses_two_floors(k):
+    # no k-AP ending below 2 * 1000 - 41 straddles the gap under 1000, so
+    # the sieve's floor starts at 1000 and drops to 0 once terms pass that
+    seed = [0, 1, 40, 41, 1000]
+    terms = generate(seed, k, 400)
+    assert terms == one_step(seed, k, 400)
+    crossed = next(i for i, t in enumerate(terms) if t >= 2 * 1000 - 41)
+    assert crossed < 300
+    assert terms[: crossed + 5] == brute.stanley_naive(seed, k, crossed + 5)
 
 
 def test_base3_closed_form_2000_terms():
