@@ -8,44 +8,38 @@ maximizer up to any bound by branch and bound over A's digit tree: a
 subtree of members in [lo, hi] can reach no ratio above
 A(min(hi, bound))**2 / lo.  Every ordering decision is made by exact
 integer cross-multiplication (count**2 * n' versus count'**2 * n);
-floats appear only in exports.
+floats appear only in exports.  The records are named tuples: they
+also iterate, index and compare equal to a plain tuple of their fields,
+and the `count` field of QPoint and DensitySample shadows tuple.count.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import IO, Iterable
+from collections import namedtuple
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .sequence import count_leq
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class QPoint:
+
+class QPoint(namedtuple("QPoint", "lead level value count")):
     """All-twos member of a block and its closed-form count."""
 
-    lead: int
-    level: int
-    value: int
-    count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DensitySample:
+class DensitySample(namedtuple("DensitySample", "n count ratio_num ratio_den ratio")):
     """One (n, A(n)) sample; ratio_num/ratio_den is the exact squared ratio."""
 
-    n: int
-    count: int
-    ratio_num: int
-    ratio_den: int
-    ratio: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    samples: list[DensitySample]
-    argmax: DensitySample
+class DensityProfile(namedtuple("DensityProfile", "samples argmax")):
+    """The samples (a list of DensitySample) and the first of their maxima."""
+
+    __slots__ = ()
 
 
 def _sample(n: int, count: int) -> DensitySample:
@@ -79,6 +73,7 @@ def limit_ratio_sq(lead: int) -> Fraction:
     3*(lead+4)**2 / (3*lead+2)."""
     if not 1 <= lead <= 4:
         raise ValueError(f"lead digit must be in 1..4, got {lead}")
+    from fractions import Fraction  # imports decimal: too slow for CLI start-up
     return Fraction(3 * (lead + 4) ** 2, 3 * lead + 2)
 
 
@@ -172,6 +167,7 @@ def write_csv(samples: Iterable[DensitySample], stream: IO[str]) -> None:
 
 def write_jsonl(samples: Iterable[DensitySample], stream: IO[str]) -> None:
     """JSON-lines export with the exact squared ratio alongside the float."""
+    import json  # only --jsonl needs it
     for s in samples:
         stream.write(
             json.dumps(

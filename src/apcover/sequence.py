@@ -15,37 +15,40 @@ Membership is decided in one place, level_of, by a few operations on
 the whole integer with no loop over digits; member, decompose,
 witness.validate and the witness sweep all build on it.  decompose and
 encode are the only places that read or write a digit vector.
+Element is a named tuple, so it also iterates, indexes and compares
+equal to the plain tuple (level, lead, low).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(namedtuple("Element", "level lead low")):
     """Canonical representation of a member of level `level`.
 
     `lead` is the coefficient of 4**level (1..4); `low` holds the
     little-endian coefficients of 4**i for i < level, each 1 or 2.
     """
 
-    level: int
-    lead: int
-    low: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if not 1 <= self.lead <= 4:
-            raise ValueError(f"lead digit must be in 1..4, got {self.lead}")
-        if len(self.low) != self.level:
-            raise ValueError(
-                f"expected {self.level} low digits, got {len(self.low)}"
-            )
-        if self.low.count(1) + self.low.count(2) != self.level:
-            raise ValueError(f"low digits must be 1 or 2, got {self.low}")
+    def __new__(cls, level: int, lead: int, low: tuple[int, ...]) -> Element:
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        if not 1 <= lead <= 4:
+            raise ValueError(f"lead digit must be in 1..4, got {lead}")
+        if len(low) != level:
+            raise ValueError(f"expected {level} low digits, got {len(low)}")
+        if low.count(1) + low.count(2) != level:
+            raise ValueError(f"low digits must be 1 or 2, got {low}")
+        return super().__new__(cls, level, lead, low)
+
+    @classmethod
+    def _make(cls, iterable) -> Element:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 #: byte maps for the two digit conversions: a low digit 1 or 2 to its

@@ -11,11 +11,13 @@ and maps each piece through a fixed pair table.  The tables satisfy
 so a + n = 2b holds position by position as an integer identity, with
 no carry analysis needed.  b always lands in T_l; a lands in T_l when
 its lead is 1 and in T_{l-1} when its lead is 0.
+Witness is a named tuple, so it also iterates, indexes and compares
+equal to the plain tuple (a, b, n, level, m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .sequence import level_of
 
@@ -40,19 +42,14 @@ DIGIT_PAIRS: dict[int, tuple[int, int]] = {
 MIN_N = 32
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "a b n level m", defaults=(None, None))):
     """A 3-term arithmetic progression a < b < n with a, b in A.
 
     `level` and `m` record which construction case produced it; both
     are None for ad-hoc triples built by hand.
     """
 
-    a: int
-    b: int
-    n: int
-    level: int | None = None
-    m: int | None = None
+    __slots__ = ()
 
 
 def level_for(n: int) -> int:

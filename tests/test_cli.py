@@ -309,6 +309,20 @@ def test_density_out_write_fails(capsys):
     assert err == "cannot write --out '/dev/full': No space left on device\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("--csv", 302, "b6de99ca4cff3b3c87868fee0572474158f0a6348b87a370af23df2cb4258006"),
+        ("--jsonl", 1342, "ddd30b6b5fd706c92fcf62d631bab7c23a885942a87439976c364ca961d7b7e6"),
+    ],
+)
+def test_density_export_frozen(capsys, fmt, size, digest):
+    code, out, err = run(capsys, "density", "--max-level", "3", fmt)
+    assert (code, err) == (0, "argmax: n=106 count=36 ratio=3.49662910449\n")
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_density_byte_identical_runs(capsys):
     _, first, _ = run(capsys, "density", "--max-level", "3", "--csv")
     _, second, _ = run(capsys, "density", "--max-level", "3", "--csv")
@@ -532,14 +546,18 @@ def _child_env():
 
 
 def test_import_starts_no_process_machinery():
-    # every command pays for what importing the CLI imports
+    # every command pays for what importing the CLI imports; -S keeps
+    # site-packages' .pth imports from deciding the result
+    heavy = (
+        "multiprocessing", "concurrent.futures", "dataclasses", "inspect",
+        "fractions", "decimal", "json",
+    )
     code = (
         "import sys, apcover.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-        "if m in sys.modules))"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env=_child_env(),
         capture_output=True,
         text=True,

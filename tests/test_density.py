@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -52,6 +53,7 @@ def test_q_point_consistent_with_count_leq():
 
 
 def test_limit_ratio_sq_values():
+    assert isinstance(limit_ratio_sq(1), Fraction)
     assert limit_ratio_sq(1) == 15
     assert limit_ratio_sq(2) == Fraction(27, 2)
     assert limit_ratio_sq(3) == Fraction(147, 11)
@@ -98,6 +100,21 @@ def test_profile_argmax_at_level_20():
     assert prof.argmax.n == q_point(1, 20).value
     values = [s.n for s in prof.samples]
     assert values == sorted(values)
+
+
+def test_density_record_contract():
+    q = q_point(1, 2)
+    best = profile(0).argmax
+    assert repr(q) == "QPoint(lead=1, level=2, value=26, count=16)"
+    assert repr(best) == (
+        "DensitySample(n=4, count=4, ratio_num=16, ratio_den=4, ratio=2.0)"
+    )
+    assert hash(q) == hash(q_point(1, 2))
+    assert hash(best) == hash(profile(0).argmax)
+    for record, field in [(q, "count"), (best, "ratio"), (profile(0), "argmax")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_profile_sample_fields():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,19 @@ def test_element_validation():
         Element(level=2, lead=1, low=(1,))
     with pytest.raises(ValueError):
         Element(level=-1, lead=1, low=())
+    with pytest.raises(ValueError):
+        Element._make((1, 1, (3,)))
+    with pytest.raises(ValueError):
+        decompose(17)._replace(lead=5)
+
+
+def test_element_record_contract():
+    e = decompose(17)
+    assert repr(e) == "Element(level=1, lead=4, low=(1,))"
+    assert hash(e) == hash(Element(level=1, lead=4, low=(1,)))
+    with pytest.raises(AttributeError):
+        e.lead = 3
+    assert pickle.loads(pickle.dumps(e)) == e
 
 
 def test_decompose_examples():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,16 @@ def test_find_witness_examples(n, a, b):
     w = find_witness(n)
     assert (w.a, w.b, w.n) == (a, b, n)
     assert validate(w)
+
+
+def test_witness_record_contract():
+    w = find_witness(100)
+    assert repr(w) == "Witness(a=6, b=53, n=100, level=2, m=6)"
+    assert hash(w) == hash(Witness(6, 53, 100, 2, 6))
+    assert Witness(a=6, b=53, n=100) == Witness(6, 53, 100, None, None)
+    with pytest.raises(AttributeError):
+        w.a = 7
+    assert pickle.loads(pickle.dumps(w)) == w
 
 
 def test_validate_examples():
