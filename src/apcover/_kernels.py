@@ -3,10 +3,11 @@
 The witness sweep certifies aligned blocks of 4**t consecutive n by
 their first n, so its work grows with the number of levels in the
 range, not with its width.  The uncovered scan ORs shifted big-int
-bitsets of the members, one pass per member for every k: at k = 3 the
-pass is one shift (n = 2y - x), and each further AP term ANDs in one
-residue class of the members.  Both are pure Python over exact
-integers; BACKEND names the only backend there is.
+bitsets of the members, one `covering_pass` per member for every k: at
+k = 3 the pass is one shift (n = 2t - y), and each further AP term ANDs
+in one residue class of the members.  The Stanley sieve runs the same
+pass online, once per new term.  Both kernels are pure Python over
+exact integers; BACKEND names the only backend there is.
 """
 
 from __future__ import annotations
@@ -67,6 +68,57 @@ def witness_sweep(lo: int, hi: int) -> list[int]:
 #: Maps a 0/1 membership byte to the binary digit int() reads.
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
+#: How far behind the newest member the low end of `covered` may lag
+#: before its settled bits are read out and shifted off.
+SETTLE = 4096
+
+
+def covering_pass(rev: int, p: int, off: int, classes: dict, k: int) -> int:
+    """The k-APs whose second-highest term is the member t = top - p.
+
+    `rev` has bit top - v set for each member v <= top.  The result has
+    bit off + d - 1 set iff t - d, t - 2d, ..., t - (k-2)d are members,
+    so that t + d completes a k-AP of members below it.
+
+    `rev >> (p + 1)` puts t - d at bit d - 1 and drops the members at or
+    above t.  The term t - j*d, j = 2 .. k-2, is bit r + j*(p//j + d) of
+    `rev` with r = p % j, so the residue class G[j][r] (bit i set iff
+    bit r + j*i of `rev` is), shifted right by p//j + 1, lines it up
+    too, and one AND per j keeps the d where all are members.  `classes`
+    maps (j, r) to G[j][r], built on first use; a k more than 2 above t
+    less the lowest member builds none.  The run is shifted up by off.
+
+    At k = 3, once the run is longer than 16 * off, a pass is one shift:
+    a shift costs several times an AND or XOR of the same length, so
+    `rev` goes right by p + 1 - off straight to bit off + d - 1, and t
+    and the members above it, which land below bit off, are cleared.
+    The sieve adds t after its pass, so there it finds none to clear.
+    """
+    if k == 3:
+        if off <= p + 1 and off << 4 < rev.bit_length() - p:
+            run = rev >> (p + 1 - off)
+            above = run & ((1 << off) - 1)
+            return run ^ above if above else run
+        return (rev >> (p + 1)) << off
+    run = rev >> (p + 1)
+    if run.bit_length() < k - 2:  # even d = 1 reaches below the lowest member
+        return 0
+    for j in range(2, k - 1):
+        if not run:
+            break
+        r = p % j
+        g = classes.get((j, r))
+        if g is None:
+            g = classes[j, r] = residue_class(rev, j, r)
+        run &= g >> (p // j + 1)
+    return run << off
+
+
+def residue_class(rev: int, j: int, r: int) -> int:
+    """The int whose bit i is bit r + j*i of rev."""
+    bits = format(rev >> r, "b")  # bit q is character len - 1 - q
+    return int(bits[(len(bits) - 1) % j :: j], 2)
+
 
 def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     """All n in [lo, hi] with no k-AP witness inside the tabulated set.
@@ -75,60 +127,42 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     lists the same members in increasing order and is not read: the
     answer depends on the table alone.  n is covered when some d >= 1
     puts all of n - (k-1)*d, ..., n - d in the set.
+
+    One `covering_pass` per member t, in increasing order, ORs its run
+    into `covered` at bit off = t + 1 - base, so bit n - base is set iff n
+    ends a k-AP found so far.  No later pass reaches n <= t, so once t
+    runs more than SETTLE bits ahead of base those bits are final: their
+    zeros are read out and `covered` is shifted down to base = t + 1.
+    No int in a pass is wider than about twice the member it runs for.
     """
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
-    covered = _covered(table, hi, k)
-    # character i of the bit string, below a sentinel 1, is n = lo + i
-    width = hi - lo + 1
-    bits = bin(covered & ((1 << width) - 1) | 1 << width)[3:]
-    uncovered = []
-    i = bits.find("0")
-    while i >= 0:
-        uncovered.append(lo + i)
-        i = bits.find("0", i + 1)
+    rev = int(bytes(table[: hi + 1]).translate(_BITS), 2)  # bit hi - v: member v
+    classes: dict[tuple[int, int], int] = {}
+    uncovered: list[int] = []
+    covered = base = 0
+    t = table.find(1, 0, hi + 1)
+    while t >= 0:
+        off = t + 1 - base
+        if off > SETTLE:
+            _read_zeros(covered, base, t + 1, lo, uncovered)
+            covered >>= off
+            base, off = t + 1, 0
+        covered |= covering_pass(rev, hi - t, off, classes, k)
+        t = table.find(1, t + 1, hi + 1)
+    _read_zeros(covered, base, hi + 1, lo, uncovered)
     return uncovered
 
 
-def _covered(table, hi: int, k: int) -> int:
-    """A big int whose bit hi - n is set iff n <= hi is covered.
-
-    One pass per member z <= hi, taken as the term n - d of a k-AP and
-    paired with each candidate y = z - d below it, so n = 2z - y.  The
-    lower terms z - j*d = j*y - (j-1)*z, j = 2 .. k-2, are congruent to
-    r = z mod j; such a term is a member iff bit y - c of G[j][r] is
-    set, where bit i of G[j][r] is set iff r + j*i is a member and
-    c = z - z//j is the least y that keeps the term >= 0.
-
-    A pass starts from the members y in [z - z//(k-2), z), where every
-    term is >= 0, taken from the forward bitset (bit x set iff x is a
-    member), and ANDs in each G[j][r] masked to its low z//j bits and
-    shifted up by c.  What is left is every y that completes a k-AP
-    below z; shifting it by hi - 2z (left when that is >= 0, right
-    otherwise) moves y to bit hi - (2z - y), and values 2z - y above hi
-    fall off the bottom.  At k = 3 there is no G, and a pass is one
-    shift-OR.  Each G[j][r] is one int() over every j-th character of
-    the table's 0/1 string, built when a pass first needs it, so a
-    large k builds only the classes that some pass reaches.
-    """
-    line = bytes(table[: hi + 1]).translate(_BITS)
-    forward = int(line[::-1], 2)
-    classes = {}  # (j, r): G[j][r]
-    steps = range(2, k - 1)  # built once: small scans are bound by per-pass overhead
-    covered = 0
-    z = table.find(1, 0, hi + 1)
-    while z >= 0:
-        run = forward & ((1 << z) - (1 << (z - z // (k - 2))))
-        for j in steps:
-            if not run:
-                break
-            r = z % j
-            g = classes.get((j, r))
-            if g is None:
-                g = classes[j, r] = int(line[r::j][::-1], 2)
-            width = z // j
-            run &= (g & ((1 << width) - 1)) << (z - width)
-        shift = hi - 2 * z
-        covered |= run << shift if shift >= 0 else run >> -shift
-        z = table.find(1, z + 1, hi + 1)
-    return covered
+def _read_zeros(covered: int, base: int, stop: int, lo: int, out: list[int]) -> None:
+    """Append each n in [max(lo, base), stop) whose bit n - base is clear."""
+    first = max(lo, base)
+    width = stop - first
+    if width <= 0:
+        return
+    # below a sentinel 1 the reversed string has n = first + i at character i
+    bits = bin(covered >> (first - base) & ((1 << width) - 1) | 1 << width)[:2:-1]
+    i = bits.find("0")
+    while i >= 0:
+        out.append(first + i)
+        i = bits.find("0", i + 1)

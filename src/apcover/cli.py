@@ -20,17 +20,18 @@ from .witness import MIN_N, find_witness, validate
 #: Ceiling on min-n0 and explore-problem1 --upto; larger values are
 #: rejected before anything is allocated.  The scan holds a membership
 #: table of upto + 1 bytes (10 MB at the ceiling) and makes one pass per
-#: member, at any order.  min-n0 scans A, one shift per member: at the
-#: ceiling one process takes 3.9-6.5 s at 50 MB peak RSS.
-#: explore-problem1 first generates a Stanley sequence of order K + 1.
-#: At a prime order from seed 0,1 that is a closed form and the scan
-#: takes nearly all of the time, growing with the square of upto:
-#: --order 4 takes 1.4 s at 2 * 10^5 (22 MB) and 18 s at 10^6 (43 MB),
-#: so about half an hour at the ceiling (extrapolated, not run).  Other
-#: seeds and composite orders K + 1 take the bitset sieve, whose time
-#: grows with the term count times upto, as the scan's does: --order 3
-#: from 0,1 takes 0.26 s at 2 * 10^5 and 2.5 s at 10^6 (23 MB), about
-#: half of it generation.
+#: member t, at any order, on ints about t bits long.  min-n0 scans A,
+#: one shift per member: at the ceiling one process takes 2.3-2.7 s at
+#: 43 MB peak RSS.  explore-problem1 first generates a Stanley sequence
+#: of order K + 1.  At a prime order from seed 0,1 that is a closed form
+#: and the scan takes nearly all of the time, growing with the square of
+#: upto: --order 4 takes 0.5-0.8 s at 2 * 10^5 (21 MB) and 10 s at 10^6
+#: (42 MB), so about 17 minutes at the ceiling (extrapolated, not run).
+#: Other seeds and composite orders K + 1 take the bitset sieve, whose
+#: time grows with the term count times upto, as the scan's does:
+#: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
+#: 10^6 (21 MB), about half of it generation.  Each figure is a whole
+#: CLI process on a 2-core x86-64 host.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
@@ -266,6 +267,8 @@ def _cmd_argmax(args) -> int:
 def _cmd_explore(args) -> int:
     if args.order < 3:
         raise _Usage("--order must be >= 3")
+    if args.upto < 0:
+        raise _Usage("--upto must be >= 0")
     _at_most("--upto", args.upto, MAX_UPTO)
     order = args.order + 1
     try:

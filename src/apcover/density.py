@@ -16,12 +16,13 @@ and the `count` field of QPoint and DensitySample shadows tuple.count.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import IO, TYPE_CHECKING, Iterable
 
 from .sequence import count_leq
 
-if TYPE_CHECKING:
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: fractions imports decimal, typing re
     from fractions import Fraction
+    from typing import IO, Iterable
 
 
 class QPoint(namedtuple("QPoint", "lead level value count")):

@@ -1,39 +1,33 @@
 """Brute-force ground truth for AP_k covering questions.
 
-Everything here works against any object exposing the IntegerSequence
-protocol (strictly increasing iteration + membership), so the same
+Everything here works against any sequence object with member(n) and
+iter_upto(limit) (the members up to limit, increasing), so the same
 oracle validates the block construction, Stanley sequences and ad-hoc
 sets.  Single queries scan the common difference d = 1, 2, ...
 directly.  Bulk range scans go through _kernels.uncovered_scan, which
 covers every n at once with shifted big-int bitsets of the members,
-one pass per member for every k: n = 2z - y for members y < z, and
-each further term ANDs in one residue class of the members (same
-verdicts as covers, much cheaper).
+one `_kernels.covering_pass` per member t for every k: t + d is covered
+when t - d is a member, and each further term ANDs in one residue class
+of the members (same verdicts as covers, much cheaper).
 
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
 asks it of every term against those before it and `greedy_next` of
-each candidate.  The Stanley sieve runs the scan's per-member pass
-online instead, and asks `ap_tails` only about k-APs that lie wholly
-in the seed terms below its floor.
+each candidate.  The Stanley sieve runs the same covering pass online
+instead, and asks `ap_tails` only about k-APs that lie wholly in the
+seed terms below its floor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Protocol
+from collections.abc import Iterator
 
 from . import _kernels
 
 
-class IntegerSequence(Protocol):
-    def member(self, n: int) -> bool: ...
-
-    def iter_upto(self, limit: int) -> Iterator[int]: ...
-
-
 class FiniteSet:
-    """IntegerSequence view of an explicit strictly increasing list."""
+    """Sequence view (member, iter_upto) of an explicit strictly increasing list."""
 
     def __init__(self, values) -> None:
         values = list(values)
@@ -51,7 +45,7 @@ class FiniteSet:
         return iter(self._values[: bisect_right(self._values, limit)])
 
 
-def covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
+def covers(seq, n: int, k: int = 3) -> list[int] | None:
     """Smallest-difference witness that k-1 members of seq extend to n.
 
     Scans d = 1, 2, ... while n - (k-1)*d >= 0 and returns the full
@@ -68,7 +62,7 @@ def covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
     return None
 
 
-def weak_covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
+def weak_covers(seq, n: int, k: int = 3) -> list[int] | None:
     """Like covers, but members of seq are exempt from the requirement.
 
     A member n returns [], since it needs no earlier terms; any other n
@@ -83,7 +77,7 @@ def weak_covers(seq: IntegerSequence, n: int, k: int = 3) -> list[int] | None:
 
 
 def uncovered_in_range(
-    seq: IntegerSequence, lo: int, hi: int, k: int = 3
+    seq, lo: int, hi: int, k: int = 3
 ) -> list[int]:
     """All n in [lo, hi] that covers() would report as uncovered.
 
@@ -101,7 +95,7 @@ def uncovered_in_range(
     return _kernels.uncovered_scan(table, (), lo, hi, k)
 
 
-def min_threshold(seq: IntegerSequence, k: int, scan_to: int) -> int | None:
+def min_threshold(seq, k: int, scan_to: int) -> int | None:
     """Largest n <= scan_to with no covering witness, or None if all covered.
 
     The empirical covering threshold: above the returned value every

@@ -21,8 +21,10 @@ equal to the plain tuple (level, lead, low).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
+from functools import cache
 
 
 class Element(namedtuple("Element", "level lead low")):
@@ -187,20 +189,40 @@ def element_at(j: int) -> int:
     return (lead << (2 * level)) + ones + int(f"{bits:b}", 4)
 
 
+@cache
+def _spread_table() -> tuple[int, ...]:
+    """Entry b puts bit i of b at base-4 digit i, for the 256 values of b.
+
+    Built on first use: importing the module stays free of it.
+    """
+    return tuple(int(f"{b:b}", 4) for b in range(256))
+
+
 def iter_range(lo: int, hi: int) -> Iterator[int]:
     """Yield the members of A in [lo, hi] in increasing order.
 
-    Walks ranks with element_at, so memory stays O(1) for huge ranges.
+    Walks A in chunks of up to 256 members that share their level, lead
+    and all low digits but the 8 lowest: the member of rank j + 1 sits
+    at place b in its chunk, where b holds the low rank bits below
+    min(level, 8), so its chunk is element_at(j + 1 - b) plus each
+    spread-table entry from b on.  That is one element_at per chunk, not
+    per member, and memory stays O(1) for huge ranges.
     """
     if lo > hi:
         raise ValueError(f"empty range bounds: lo={lo} > hi={hi}")
-    j = count_leq(lo - 1) + 1 if lo >= 1 else 1
+    spread = _spread_table()
+    j = count_leq(lo - 1)  # members below the next one
     while True:
-        n = element_at(j)
-        if n > hi:
+        level = ((j >> 2) + 1).bit_length() - 1  # of rank j + 1, as in element_at
+        width = min(level, 8)
+        b = (j - 4 * ((1 << level) - 1)) & ((1 << width) - 1)
+        start = element_at(j + 1 - b)
+        chunk = spread[b : 1 << width]
+        if start + chunk[-1] > hi:
+            yield from map(start.__add__, chunk[: bisect_right(chunk, hi - start)])
             return
-        yield n
-        j += 1
+        yield from map(start.__add__, chunk)
+        j += len(chunk)
 
 
 class BlockSequence:

@@ -19,10 +19,11 @@ of k-APs below its floor come from one filter, `oracle.ap_tails`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice, takewhile
 from math import inf, isqrt
-from typing import Iterator
 
+from ._kernels import SETTLE, covering_pass
 from .oracle import ap_tails, has_k_ap
 
 
@@ -50,30 +51,26 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
     """Yield the terms after a checked seed, one at a time, forever.
 
     The next term is the next value that ends no k-AP of the terms below
-    it, so the sieve runs the covering scan's per-member pass
-    (`_kernels._covered`) online, once per new term t, over the terms at
-    or above a floor.  Three big ints hold the state:
+    it, so the sieve runs the uncovered scan's `_kernels.covering_pass`
+    online, once per new term t, over the terms at or above a floor.
+    Three big ints and a dict hold the state:
 
     * `rev`: bit top - v is set for each such term v;
-    * G[j][r]: bit i is bit r + j*i of `rev`, a residue class built from
-      `rev` on first use and then OR-updated per term;
+    * `classes`: G[j][r] at key (j, r), whose bit i is bit r + j*i of
+      `rev`, built by the pass on first use and then OR-updated per term;
     * `covered`: bit i is set iff base + i ends a k-AP of those terms;
       only the bits above the newest term are read.
 
-    The pass at t keeps each y = t - d below t with t - j*d a term for
-    j = 2 .. k-2; the class for j = k-2 (at k = 3, `rev` itself) keeps
-    t - (k-2)d at or above the floor.  `rev` shifted right by top - t + 1
-    puts y at bit d - 1, and each G[j][r] shifted right by (top - t) // j
-    + 1 lines its term t - j*d up with it.  Both shifts are shortened by
-    t + 1 - base, which moves y to the bit of t + d in `covered`, so the
-    pass is one OR into it; `covered` itself is shifted down to base =
-    t + 1 only when base lags more than 4096 bits behind, or when a
-    shortened shift would go negative.  The next term is the lowest zero
-    bit of `covered` above the newest term, searched in a low window
-    that widens only while it is full.  `top` doubles its distance to
-    the floor when a term passes it, and the classes are rebuilt then.
-    A term costs a few shifts, ANDs and ORs on ints about t - floor bits
-    long.
+    The pass at t returns each d with t - d, ..., t - (k-2)d all terms
+    at the bit of t + d in `covered`, bit t + 1 - base + d - 1, and the
+    sieve ORs it in; the terms stop at the floor, so every k-AP it finds
+    lies at or above it.  `covered` is shifted down to base = t + 1 once
+    base lags more than SETTLE bits behind.  The next term is the lowest
+    zero bit of `covered` above the newest term, searched in a low
+    window that widens only while it is full.  `top` doubles its
+    distance to the floor when a term passes it, and the classes are
+    rebuilt then.  A term costs a few shifts, ANDs and ORs on ints about
+    t - floor bits long.
 
     The floor is seed[i] for the highest i with 2 seed[i] - seed[i-1]
     above the next undecided value x, else seed[0].  A k-AP ending at x
@@ -95,7 +92,7 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
         present = set(below)
         floor = top = base = seed[i]
         rev = covered = 0
-        classes: dict[int, dict[int, int]] = {}  # j -> {r: G[j][r]}
+        classes: dict[tuple[int, int], int] = {}  # (j, r): G[j][r]
 
         def add(t: int) -> None:
             nonlocal top, rev, covered, base
@@ -107,26 +104,17 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
                 top = floor + span
                 classes.clear()
             p = top - t
-            rev |= 1 << p
-            for j, g in classes.items():
-                r = p % j
-                if r in g:
-                    g[r] |= 1 << (p // j)
-            off = t + 1 - base  # shortens the shifts below
-            if off > min(p // (k - 2) + 1, 4096):
+            off = t + 1 - base
+            if off > SETTLE:
                 covered >>= off
                 base, off = t + 1, 0
-            # no k-AP fits when k - 2 steps of 1 reach below the floor
-            run = rev >> (p + 1 - off) if t - floor >= k - 2 else 0
-            for j in range(2, k - 1):
-                if not run:
-                    break
-                g = classes.setdefault(j, {})
-                r = p % j
-                if r not in g:
-                    g[r] = int(bin(rev)[:1:-1][r::j][::-1] or "0", 2)
-                run &= g[r] >> (p // j + 1 - off)
-            covered |= run
+            covered |= covering_pass(rev, p, off, classes, k)
+            # t joins the state after its own pass, so `rev` never holds
+            # a term at or above the pass's, which the pass would clear
+            rev |= 1 << p
+            for (j, r), g in classes.items():
+                if p % j == r:
+                    classes[j, r] = g | 1 << (p // j)
 
         for t in terms[i:]:
             add(t)

@@ -135,6 +135,17 @@ def test_explore_problem1_upto_too_large(capsys, monkeypatch, upto):
     assert err == f"--upto must be at most {cli.MAX_UPTO}\n"
 
 
+@pytest.mark.parametrize("upto", [-1, -5, -(10**30)])
+def test_explore_problem1_negative_upto(capsys, monkeypatch, upto):
+    # the bound is at fault, not the seed
+    monkeypatch.setattr(cli.stanley, "generate_upto", _refuse_to_run)
+    code, out, err = run(
+        capsys, "explore-problem1", "--order", "3", "--seed", "0,1", "--upto", str(upto)
+    )
+    assert code == 2 and out == ""
+    assert err == "--upto must be >= 0\n"
+
+
 def test_stanley(capsys):
     code, out, _ = run(
         capsys, "stanley", "--order", "3", "--seed", "0,1", "--count", "8"
@@ -550,7 +561,7 @@ def test_import_starts_no_process_machinery():
     # site-packages' .pth imports from deciding the result
     heavy = (
         "multiprocessing", "concurrent.futures", "dataclasses", "inspect",
-        "fractions", "decimal", "json",
+        "fractions", "decimal", "json", "typing",
     )
     code = (
         "import sys, apcover.cli; "

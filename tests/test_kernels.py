@@ -173,15 +173,31 @@ def test_scan_matches_brute_random_sets(members, k, x, y):
 
 
 def _brute_covered(values, length, hi, k):
-    # bit hi - n set iff n <= hi is covered, as _covered returns it
+    # bit n set iff n <= hi is covered, as _covered_by_passes returns it
     uncovered = [n for n in _brute_uncovered(values, 0, length - 1, k) if n <= hi]
-    return ((1 << (hi + 1)) - 1) ^ sum(1 << (hi - n) for n in uncovered)
+    return ((1 << (hi + 1)) - 1) ^ sum(1 << n for n in uncovered)
+
+
+def _covered_by_passes(table, hi, k, lag=None):
+    # one covering_pass per member t <= hi, its run placed at bit
+    # off = min(t + 1, lag) and shifted back up by t + 1 - off: a short
+    # lag takes the k = 3 pass's single-shift path once t passes 16 * lag
+    members = [v for v in range(hi + 1) if table[v]]
+    rev = sum(1 << (hi - v) for v in members)
+    classes = {}
+    covered = 0
+    for t in members:
+        off = t + 1 if lag is None else min(t + 1, lag)
+        covered |= _kernels.covering_pass(rev, hi - t, off, classes, k) << (t + 1 - off)
+    return covered & ((1 << (hi + 1)) - 1)
 
 
 @pytest.mark.parametrize("values, length, lo, hi, k", SCANS.values(), ids=SCANS.keys())
 def test_covered_matches_brute(values, length, lo, hi, k):
     table = _table_of(values, length)
-    assert _kernels._covered(table, hi, k) == _brute_covered(values, length, hi, k)
+    expected = _brute_covered(values, length, hi, k)
+    for lag in (None, 1, 7):
+        assert _covered_by_passes(table, hi, k, lag) == expected, lag
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,8 +205,55 @@ def test_covered_matches_brute(values, length, lo, hi, k):
 def test_covered_matches_brute_random_tables(flags, k, data):
     # about half of each table is set, so k-APs up to k = 6 are common
     hi = data.draw(st.integers(0, len(flags) - 1))
+    lag = data.draw(st.sampled_from([None, 1, 7]))
     values = tuple(i for i, flag in enumerate(flags) if flag)
-    assert _kernels._covered(bytearray(flags), hi, k) == _brute_covered(values, len(flags), hi, k)
+    assert _covered_by_passes(flags, hi, k, lag) == _brute_covered(values, len(flags), hi, k)
+
+
+def test_residue_class():
+    rev = int("1011001110001", 2)
+    for j in range(1, 6):
+        for r in range(8):
+            bits = [rev >> q & 1 for q in range(r, rev.bit_length(), j)]
+            assert _kernels.residue_class(rev, j, r) == sum(b << i for i, b in enumerate(bits))
+
+
+#: tables longer than 3 * SETTLE, so that the scan reads out and shifts
+#: down its settled bits more than once
+LONG = 13_000
+A_LONG = tuple(brute.elements_upto(LONG))
+LONG_TABLES = {
+    "A-k3": (A_LONG, 3),
+    "A-k4": (A_LONG, 4),  # some 40 uncovered n in each window
+    "stanley5-k4": (tuple(stanley.generate_upto([0, 1], 5, LONG)), 4),
+    "stanley3-k3": (tuple(stanley.generate_upto([0, 1], 3, LONG)), 3),
+}
+
+
+def _settle_points(values, hi):
+    # the n = t + 1 at which the scan's `covered` starts over: the first
+    # member t more than SETTLE past the last such point
+    base, points = 0, []
+    for t in values:
+        if t <= hi and t + 1 - base > _kernels.SETTLE:
+            base = t + 1
+            points.append(base)
+    return points
+
+
+@pytest.mark.parametrize("name", LONG_TABLES)
+def test_scan_windows_around_shift_down(name):
+    values, k = LONG_TABLES[name]
+    table = _table_of(values, LONG + 1)
+    points = _settle_points(values, LONG)
+    assert points
+    for point in points:
+        # before, across and after the point; the brute check covers the
+        # window only, while the scan runs every member below hi and so
+        # shifts down at each earlier point as well
+        for lo, hi in [(point - 48, point - 1), (point - 24, point + 24), (point, point + 48)]:
+            expected = _brute_uncovered(values, lo, hi, k)
+            assert _kernels.uncovered_scan(table, [], lo, hi, k) == expected, (lo, hi)
 
 
 def test_scan_reads_members_from_the_table():

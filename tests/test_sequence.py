@@ -319,6 +319,44 @@ def test_iter_range_matches_brute(brute_elements_10k):
     assert list(iter_range(0, 10_000)) == brute_elements_10k
 
 
+def _rank_walk(lo, hi):
+    # the members in [lo, hi], one element_at per rank
+    out = []
+    j = count_leq(lo - 1) + 1
+    while (n := element_at(j)) <= hi:
+        out.append(n)
+        j += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**5), st.integers(0, 10**5))
+def test_iter_range_matches_rank_walk(x, y):
+    lo, hi = min(x, y), max(x, y)
+    assert list(iter_range(lo, hi)) == _rank_walk(lo, hi)
+
+
+@pytest.mark.parametrize("level", [0, 3, 7, 8, 9, 12, 60])
+@pytest.mark.parametrize("offset", [0, 1, 100, 255, 256, 300])
+def test_iter_range_from_inside_a_chunk(level, offset):
+    # a start `offset` ranks into a lead's block: inside, at the end of or
+    # past a 256-member chunk once the level reaches 8, and across leads
+    # and levels below it, where a chunk is a whole lead
+    j = 4 * (2**level - 1) + 1 + offset
+    lo = element_at(j)
+    hi = element_at(j + 700) + 1
+    assert list(iter_range(lo, hi)) == _rank_walk(lo, hi)
+    assert list(iter_range(lo + 1, hi))[:1] == [element_at(j + 1)]
+
+
+@pytest.mark.parametrize("start", [4**60, 4**60 - 12_345, level_min(60) + 7, level_max(60) - 3])
+def test_iter_range_huge_start(start):
+    hi = element_at(count_leq(start) + 700)
+    got = list(iter_range(start, hi))
+    assert len(got) == 700 + member(start)
+    assert got == _rank_walk(start, hi)
+
+
 def test_level_cardinality_and_ordering():
     for level in range(9):
         lo, hi = level_min(level), level_max(level)
