@@ -85,17 +85,17 @@ def covering_pass(rev: int, p: int, off: int, classes: dict, k: int) -> int:
     `rev` with r = p % j, so the residue class G[j][r] (bit i set iff
     bit r + j*i of `rev` is), shifted right by p//j + 1, lines it up
     too, and one AND per j keeps the d where all are members.  `classes`
-    maps (j, r) to G[j][r], built on first use; a k more than 2 above t
-    less the lowest member builds none.  The run is shifted up by off.
+    maps j to {r: G[j][r]}, each class built on first use; a k more than
+    2 above t less the lowest member builds none.  The run is shifted up
+    by off.
 
-    At k = 3, once the run is longer than 16 * off, a pass is one shift:
-    a shift costs several times an AND or XOR of the same length, so
-    `rev` goes right by p + 1 - off straight to bit off + d - 1, and t
-    and the members above it, which land below bit off, are cleared.
-    The sieve adds t after its pass, so there it finds none to clear.
+    At k = 3 with off <= p + 1 a pass is one shift: `rev` goes right by
+    p + 1 - off straight to bit off + d - 1, and t and the members above
+    it, which land below bit off, are cleared.  The sieve adds t after
+    its pass, so there it finds none to clear.
     """
     if k == 3:
-        if off <= p + 1 and off << 4 < rev.bit_length() - p:
+        if off <= p + 1:
             run = rev >> (p + 1 - off)
             above = run & ((1 << off) - 1)
             return run ^ above if above else run
@@ -107,9 +107,12 @@ def covering_pass(rev: int, p: int, off: int, classes: dict, k: int) -> int:
         if not run:
             break
         r = p % j
-        g = classes.get((j, r))
+        cls = classes.get(j)
+        if cls is None:
+            cls = classes[j] = {}
+        g = cls.get(r)
         if g is None:
-            g = classes[j, r] = residue_class(rev, j, r)
+            g = cls[r] = residue_class(rev, j, r)
         run &= g >> (p // j + 1)
     return run << off
 
@@ -138,7 +141,7 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
     rev = int(bytes(table[: hi + 1]).translate(_BITS), 2)  # bit hi - v: member v
-    classes: dict[tuple[int, int], int] = {}
+    classes: dict[int, dict[int, int]] = {}
     uncovered: list[int] = []
     covered = base = 0
     t = table.find(1, 0, hi + 1)

@@ -53,11 +53,12 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
     The next term is the next value that ends no k-AP of the terms below
     it, so the sieve runs the uncovered scan's `_kernels.covering_pass`
     online, once per new term t, over the terms at or above a floor.
-    Three big ints and a dict hold the state:
+    Three big ints and a dict of dicts hold the state:
 
     * `rev`: bit top - v is set for each such term v;
-    * `classes`: G[j][r] at key (j, r), whose bit i is bit r + j*i of
-      `rev`, built by the pass on first use and then OR-updated per term;
+    * `classes`: G[j][r] at classes[j][r], whose bit i is bit r + j*i of
+      `rev`, built by the pass on first use; a term is ORed into the one
+      built class of each j that holds it;
     * `covered`: bit i is set iff base + i ends a k-AP of those terms;
       only the bits above the newest term are read.
 
@@ -92,7 +93,7 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
         present = set(below)
         floor = top = base = seed[i]
         rev = covered = 0
-        classes: dict[tuple[int, int], int] = {}  # (j, r): G[j][r]
+        classes: dict[int, dict[int, int]] = {}  # j -> {r: G[j][r]}
 
         def add(t: int) -> None:
             nonlocal top, rev, covered, base
@@ -112,9 +113,10 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
             # t joins the state after its own pass, so `rev` never holds
             # a term at or above the pass's, which the pass would clear
             rev |= 1 << p
-            for (j, r), g in classes.items():
-                if p % j == r:
-                    classes[j, r] = g | 1 << (p // j)
+            for j, cls in classes.items():
+                r = p % j
+                if r in cls:
+                    cls[r] |= 1 << (p // j)
 
         for t in terms[i:]:
             add(t)

@@ -180,8 +180,9 @@ def _brute_covered(values, length, hi, k):
 
 def _covered_by_passes(table, hi, k, lag=None):
     # one covering_pass per member t <= hi, its run placed at bit
-    # off = min(t + 1, lag) and shifted back up by t + 1 - off: a short
-    # lag takes the k = 3 pass's single-shift path once t passes 16 * lag
+    # off = min(t + 1, lag) and shifted back up by t + 1 - off: the k = 3
+    # pass takes its single shift while off <= hi - t + 1: with no lag
+    # for t up to hi / 2, with a short lag for every t but the last few
     members = [v for v in range(hi + 1) if table[v]]
     rev = sum(1 << (hi - v) for v in members)
     classes = {}
