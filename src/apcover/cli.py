@@ -13,9 +13,9 @@ import argparse
 import os
 import sys
 
-from . import _kernels, density, oracle, stanley
+from . import density, oracle, stanley
 from .sequence import BLOCK_SEQUENCE, count_leq, decompose, element_at
-from .witness import MIN_N, find_witness, validate
+from .witness import MIN_N, find_witness, validate, witness_sweep
 
 #: Ceiling on min-n0 and explore-problem1 --upto; larger values are
 #: rejected before anything is allocated.  The scan holds a membership
@@ -203,7 +203,7 @@ def _cmd_witness(args) -> int:
 def _cmd_verify_covering(args) -> int:
     if args.lo < MIN_N or args.hi < args.lo:
         raise _Usage(f"need {MIN_N} <= from <= to, got [{args.lo}, {args.hi}]")
-    failures = _kernels.witness_sweep(args.lo, args.hi)
+    failures = witness_sweep(args.lo, args.hi)
     for n in failures:
         print(f"FAIL {n}")
     print(f"checked={args.hi - args.lo + 1} failures={len(failures)}")

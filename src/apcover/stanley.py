@@ -8,13 +8,12 @@ definition.  `generate` and `generate_upto` take their terms from
 seed that starts the sequence from 0 ([0], [0, 1], ...), the terms are
 the numbers with no base-p digit p - 1 (`_no_top_digit`), enumerated in
 linear time.  Every other seed and order goes through the incremental
-sieve `_extend`: a bitset of the values t + d that end a k-AP whose
-other terms t, t - d, ..., t - (k-2)d are present, ORed in by one
-covering-scan pass per new term t, so the next term is its lowest zero
-bit.  A term costs a few shifts and ANDs on ints about as many bits
-long as the largest term, so the time grows with the term count times
-the largest term.  The seed check, `greedy_next` and the sieve's test
-of k-APs below its floor come from one filter, `oracle.ap_tails`.
+sieve `_extend`, which runs `oracle.covering_pass` once per new term,
+so the next term is the lowest value that ends no k-AP.  A term costs
+a few shifts and ANDs on ints about as many bits long as the largest
+term, so the time grows with the term count times the largest term.
+The seed check, `greedy_next` and the sieve's test of k-APs below its
+floor come from one filter, `oracle.ap_tails`.
 """
 
 from __future__ import annotations
@@ -23,19 +22,7 @@ from collections.abc import Iterator
 from itertools import islice, takewhile
 from math import inf, isqrt
 
-from ._kernels import SETTLE, covering_pass
-from .oracle import ap_tails, has_k_ap
-
-
-def _check_seed(seed: list[int], k: int) -> list[int]:
-    seed = list(seed)
-    if not seed:
-        raise ValueError("seed must be non-empty")
-    if seed[0] < 0:
-        raise ValueError("seed terms must be nonnegative")
-    if has_k_ap(seed, k):  # also rejects unsorted seeds
-        raise ValueError(f"seed contains a {k}-term AP")
-    return seed
+from .oracle import SETTLE, ap_tails, covering_pass, has_k_ap
 
 
 def greedy_next(produced: list[int], k: int = 3) -> int:
@@ -51,27 +38,16 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
     """Yield the terms after a checked seed, one at a time, forever.
 
     The next term is the next value that ends no k-AP of the terms below
-    it, so the sieve runs the uncovered scan's `_kernels.covering_pass`
-    online, once per new term t, over the terms at or above a floor.
-    Three big ints and a dict of dicts hold the state:
-
-    * `rev`: bit top - v is set for each such term v;
-    * `classes`: G[j][r] at classes[j][r], whose bit i is bit r + j*i of
-      `rev`, built by the pass on first use; a term is ORed into the one
-      built class of each j that holds it;
-    * `covered`: bit i is set iff base + i ends a k-AP of those terms;
-      only the bits above the newest term are read.
-
-    The pass at t returns each d with t - d, ..., t - (k-2)d all terms
-    at the bit of t + d in `covered`, bit t + 1 - base + d - 1, and the
-    sieve ORs it in; the terms stop at the floor, so every k-AP it finds
-    lies at or above it.  `covered` is shifted down to base = t + 1 once
-    base lags more than SETTLE bits behind.  The next term is the lowest
-    zero bit of `covered` above the newest term, searched in a low
-    window that widens only while it is full.  `top` doubles its
-    distance to the floor when a term passes it, and the classes are
-    rebuilt then.  A term costs a few shifts, ANDs and ORs on ints about
-    t - floor bits long.
+    it, so the sieve runs `oracle.covering_pass` online, once per new
+    term t, over the terms at or above a floor; the pass says what its
+    state `rev`, `classes` and `covered` hold.  A term joins `rev` and
+    the one built class of each j that holds it.  The terms stop at the
+    floor, so every k-AP the passes find lies at or above it.  The next
+    term is the lowest zero bit of `covered` above the newest term,
+    searched in a low window that widens only while it is full.  `top`
+    doubles its distance to the floor when a term passes it, and the
+    classes are rebuilt then.  A term costs a few shifts, ANDs and ORs
+    on ints about t - floor bits long.
 
     The floor is seed[i] for the highest i with 2 seed[i] - seed[i-1]
     above the next undecided value x, else seed[0].  A k-AP ending at x
@@ -178,27 +154,40 @@ def _is_prime(k: int) -> bool:
 
 
 def _terms(seed: list[int], k: int) -> Iterator[int]:
-    """The terms after a checked seed: closed form if it applies, else sieve."""
+    """The terms after a seed list: closed form if it applies, else sieve.
+
+    Raises ValueError for a bad seed.  A prefix of the closed form is
+    k-AP-free by `_no_top_digit`'s proof; any other seed is checked for
+    a k-AP first.
+    """
+    if not seed:
+        raise ValueError("seed must be non-empty")
+    if seed[0] < 0:
+        raise ValueError("seed terms must be nonnegative")
     if _is_prime(k):
         closed = _no_top_digit(k)
         if list(islice(closed, len(seed))) == seed:
             return closed
+    if has_k_ap(seed, k):  # also rejects unsorted seeds
+        raise ValueError(f"seed contains a {k}-term AP")
     return _extend(seed, k)
 
 
 def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
     """First `count` terms of the Stanley sequence of order k from seed."""
-    seed = _check_seed(seed, k)
+    seed = list(seed)
+    terms = _terms(seed, k)
     if count < len(seed):
         raise ValueError(
             f"count {count} is below the seed length {len(seed)}"
         )
-    return seed + list(islice(_terms(seed, k), count - len(seed)))
+    return seed + list(islice(terms, count - len(seed)))
 
 
 def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
     """All terms <= limit of the Stanley sequence of order k from seed."""
-    seed = _check_seed(seed, k)
-    if seed and seed[-1] > limit:
+    seed = list(seed)
+    terms = _terms(seed, k)
+    if seed[-1] > limit:
         raise ValueError(f"seed already exceeds limit {limit}")
-    return seed + list(takewhile(lambda t: t <= limit, _terms(seed, k)))
+    return seed + list(takewhile(lambda t: t <= limit, terms))

@@ -10,7 +10,8 @@ and maps each piece through a fixed pair table.  The tables satisfy
 
 so a + n = 2b holds position by position as an integer identity, with
 no carry analysis needed.  b always lands in T_l; a lands in T_l when
-its lead is 1 and in T_{l-1} when its lead is 0.
+its lead is 1 and in T_{l-1} when its lead is 0.  `witness_sweep`
+checks the construction for every n in a range.
 Witness is a named tuple, so it also iterates, indexes and compares
 equal to the plain tuple (a, b, n, level, m).
 """
@@ -101,3 +102,51 @@ def validate(w: Witness) -> bool:
     if w.level is None:
         return True
     return level_b == w.level and level_a in (w.level - 1, w.level)
+
+
+def witness_sweep(lo: int, hi: int) -> list[int]:
+    """All n in [lo, hi] whose constructed witness fails validation.
+
+    An empty list is the expected outcome; any entry is a
+    counterexample to the covering construction.
+
+    Equivalent to collecting every n with not validate(find_witness(n)),
+    but walks from lo and validates only the first n of each maximal
+    aligned block of 4**t consecutive n, t <= level, that it meets.
+    That n certifies its whole block when every DIGIT_PAIRS row
+    (v_b, v_a) has v_b, v_a in {1, 2} and v_a + d == 2 * v_b:
+
+    * level, coarse quotient and the digits of n above position t are
+      fixed, so a and b are fixed high parts plus t low digits that are
+      all 1 or 2; membership and level of a and b follow from the high
+      parts alone, except when t == level and a's lead is 0: then a's
+      high part is 0, and its level low digits, all 1 or 2, put a in
+      T_{level-1};
+    * a + n == 2b holds for every n once it holds for one, by linearity;
+    * per digit, d - v_b and v_a - v_b are smallest at d = 0, so b < n
+      and a < b are tightest at the first n; a is at least its high
+      part plus (4**t - 1) // 3, which is at least 1.
+
+    A certified block may run past hi; it holds no failure to miss.  A
+    failing n is reported and the walk goes on from n + 1, whose maximal
+    aligned blocks are the quarters of the failed block, their quarters
+    and so on.  Any other digit table gets the per-n loop.
+    """
+    if lo < MIN_N:
+        raise ValueError(f"sweep starts at {MIN_N}, got lo={lo}")
+    if not all(
+        v_b in (1, 2) and v_a in (1, 2) and v_a + d == 2 * v_b
+        for d in range(4)
+        for v_b, v_a in [DIGIT_PAIRS[d]]
+    ):
+        return [n for n in range(lo, hi + 1) if not validate(find_witness(n))]
+    failures: list[int] = []
+    n = lo
+    while n <= hi:
+        if validate(find_witness(n)):
+            aligned = ((n & -n).bit_length() - 1) >> 1
+            n += 1 << (2 * min(level_for(n), aligned))
+        else:
+            failures.append(n)
+            n += 1
+    return failures

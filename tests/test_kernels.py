@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover import _kernels, stanley, witness
+from apcover import oracle, stanley, witness
 from apcover.witness import find_witness, validate
 
 
 def test_pure_sweep_clean_small():
-    assert _kernels.witness_sweep(32, 3000) == []
+    assert witness.witness_sweep(32, 3000) == []
 
 
 def test_pure_sweep_rejects_low_start():
     with pytest.raises(ValueError):
-        _kernels.witness_sweep(1, 100)
+        witness.witness_sweep(1, 100)
 
 
 def _per_n(lo, hi):
@@ -37,13 +37,13 @@ WINDOWS = {
 
 @pytest.mark.parametrize("lo, hi", WINDOWS.values(), ids=WINDOWS.keys())
 def test_sweep_matches_per_n_loop(lo, hi):
-    assert _kernels.witness_sweep(lo, hi) == _per_n(lo, hi)
+    assert witness.witness_sweep(lo, hi) == _per_n(lo, hi)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(32, 4**70), st.integers(0, 3_000))
 def test_sweep_matches_per_n_loop_random_windows(lo, width):
-    assert _kernels.witness_sweep(lo, lo + width) == _per_n(lo, lo + width)
+    assert witness.witness_sweep(lo, lo + width) == _per_n(lo, lo + width)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ def test_sweep_catches_broken_pair_table(monkeypatch, digit_row, lead_row):
     monkeypatch.setitem(witness.DIGIT_PAIRS, *digit_row)
     monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
     for lo, hi in [(32, 20_000), (2**63, 2**63 + 3_000)]:
-        failures = _kernels.witness_sweep(lo, hi)
+        failures = witness.witness_sweep(lo, hi)
         assert failures
         assert failures == _per_n(lo, hi)
 
@@ -74,7 +74,7 @@ def test_certified_blocks_match_per_n_loop_under_patched_leads(monkeypatch, lead
     # decide the rest of its block
     monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
     windows = [(32, 40_000), (2**63, 2**63 + 30_000), (4**11 - 7_000, 4**11 + 70_000)]
-    results = [(_kernels.witness_sweep(lo, hi), _per_n(lo, hi)) for lo, hi in windows]
+    results = [(witness.witness_sweep(lo, hi), _per_n(lo, hi)) for lo, hi in windows]
     assert any(expected for _, expected in results)
     for got, expected in results:
         assert got == expected
@@ -87,8 +87,8 @@ def _sweep_witness_calls(monkeypatch, hi):
         calls.append(n)
         return find_witness(n)
 
-    monkeypatch.setattr(_kernels, "find_witness", counted)
-    assert _kernels.witness_sweep(32, hi) == []
+    monkeypatch.setattr(witness, "find_witness", counted)
+    assert witness.witness_sweep(32, hi) == []
     return len(calls)
 
 
@@ -154,7 +154,7 @@ def test_scan_matches_brute(values, length, lo, hi, k):
     whole = _brute_uncovered(values, 0, length - 1, k)
     expected = [n for n in whole if lo <= n <= hi]
     table = _table_of(values, length)
-    assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
+    assert oracle.uncovered_scan(table, list(values), lo, hi, k) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +169,7 @@ def test_scan_matches_brute_random_sets(members, k, x, y):
     values = tuple(sorted(members))
     table = _table_of(values, 301)
     expected = _brute_uncovered(values, lo, hi, k)
-    assert _kernels.uncovered_scan(table, list(values), lo, hi, k) == expected
+    assert oracle.uncovered_scan(table, list(values), lo, hi, k) == expected
 
 
 def _brute_covered(values, length, hi, k):
@@ -189,7 +189,7 @@ def _covered_by_passes(table, hi, k, lag=None):
     covered = 0
     for t in members:
         off = t + 1 if lag is None else min(t + 1, lag)
-        covered |= _kernels.covering_pass(rev, hi - t, off, classes, k) << (t + 1 - off)
+        covered |= oracle.covering_pass(rev, hi - t, off, classes, k) << (t + 1 - off)
     return covered & ((1 << (hi + 1)) - 1)
 
 
@@ -216,7 +216,7 @@ def test_residue_class():
     for j in range(1, 6):
         for r in range(8):
             bits = [rev >> q & 1 for q in range(r, rev.bit_length(), j)]
-            assert _kernels.residue_class(rev, j, r) == sum(b << i for i, b in enumerate(bits))
+            assert oracle.residue_class(rev, j, r) == sum(b << i for i, b in enumerate(bits))
 
 
 #: tables longer than 3 * SETTLE, so that the scan reads out and shifts
@@ -236,7 +236,7 @@ def _settle_points(values, hi):
     # member t more than SETTLE past the last such point
     base, points = 0, []
     for t in values:
-        if t <= hi and t + 1 - base > _kernels.SETTLE:
+        if t <= hi and t + 1 - base > oracle.SETTLE:
             base = t + 1
             points.append(base)
     return points
@@ -254,7 +254,7 @@ def test_scan_windows_around_shift_down(name):
         # shifts down at each earlier point as well
         for lo, hi in [(point - 48, point - 1), (point - 24, point + 24), (point, point + 48)]:
             expected = _brute_uncovered(values, lo, hi, k)
-            assert _kernels.uncovered_scan(table, [], lo, hi, k) == expected, (lo, hi)
+            assert oracle.uncovered_scan(table, [], lo, hi, k) == expected, (lo, hi)
 
 
 def test_scan_reads_members_from_the_table():
@@ -262,11 +262,11 @@ def test_scan_reads_members_from_the_table():
     # changes nothing
     table = _table_of(A_3000, 3_001)
     expected = _brute_uncovered(A_3000, 0, 3_000, 3)
-    assert _kernels.uncovered_scan(table, [], 0, 3_000, 3) == expected
-    assert _kernels.uncovered_scan(table, list(EVENS_200), 0, 3_000, 3) == expected
+    assert oracle.uncovered_scan(table, [], 0, 3_000, 3) == expected
+    assert oracle.uncovered_scan(table, list(EVENS_200), 0, 3_000, 3) == expected
 
 
 def test_scan_table_must_cover_range():
     values = list(EVENS_200[:51])
     with pytest.raises(ValueError):
-        _kernels.uncovered_scan(_table_of(values, 101), values, 0, 200, 3)
+        oracle.uncovered_scan(_table_of(values, 101), values, 0, 200, 3)

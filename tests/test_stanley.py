@@ -250,3 +250,23 @@ def test_base_seed_never_reaches_the_sieve(p):
     assert calls == []
     assert terms == digit_free(p, 500)
     assert upto == [n for n in range(1001) if no_top_digit(n, p)]
+
+
+def test_seed_check_skips_closed_form_prefixes(monkeypatch):
+    # a prefix of the closed form is p-AP-free by its proof, so only
+    # other seeds pay for the quadratic has_k_ap
+    calls = []
+    has_k_ap = stanley.has_k_ap
+
+    def counted(values, k):
+        calls.append(k)
+        return has_k_ap(values, k)
+
+    monkeypatch.setattr(stanley, "has_k_ap", counted)
+    base3 = [int(bin(i)[2:], 3) for i in range(16_010)]
+    seed = base3[:16_000]
+    assert generate(seed, 3, 16_010) == base3
+    assert generate_upto(seed, 3, base3[-1]) == base3
+    assert calls == []
+    assert generate([0, 2], 3, 4) == [0, 2, 3, 5]
+    assert calls == [3]
