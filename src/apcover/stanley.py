@@ -164,6 +164,8 @@ def _terms(seed: list[int], k: int) -> Iterator[int]:
         raise ValueError("seed must be non-empty")
     if seed[0] < 0:
         raise ValueError("seed terms must be nonnegative")
+    if k < 3:  # the closed form never ends at k = 2
+        raise ValueError(f"progression length must be >= 3, got {k}")
     if _is_prime(k):
         closed = _no_top_digit(k)
         if list(islice(closed, len(seed))) == seed:

@@ -262,6 +262,14 @@ def test_stanley_bad_seed(capsys):
     assert "3-term AP" in err
 
 
+def test_stanley_order_too_small(capsys):
+    code, out, err = run(
+        capsys, "stanley", "--order", "2", "--seed", "0,1", "--count", "5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "progression length must be >= 3, got 2\n"
+
+
 def test_stanley_long_seed(capsys):
     # stdout recorded when the seed check was a pair scan; a seed error
     # names no terms
