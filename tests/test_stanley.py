@@ -73,21 +73,15 @@ def test_seed_rejections():
         generate([-2, 0], 3, 5)
     with pytest.raises(ValueError):
         generate([0, 1], 3, 1)  # count below seed length
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
+    # 2 is prime, but the closed form has no term after 0 at p = 2
+    for call in (
         lambda: generate([0, 1], 2, 5),
         lambda: generate([0], 2, 3),
         lambda: generate_upto([0], 2, 10),
         lambda: generate([0, 1], 1, 5),
-    ],
-)
-def test_order_below_3_is_rejected(call):
-    # 2 is prime, but the closed form has no term after 0 at p = 2
-    with pytest.raises(ValueError, match="progression length must be >= 3"):
-        call()
+    ):
+        with pytest.raises(ValueError, match="progression length must be >= 3"):
+            call()
 
 
 def one_step(seed, k, count):
