@@ -21,17 +21,19 @@ from .witness import MIN_N, find_witness, validate, witness_sweep
 #: rejected before anything is allocated.  The scan holds a membership
 #: table of upto + 1 bytes (10 MB at the ceiling) and makes one pass per
 #: member t, at any order, on ints about t bits long.  min-n0 scans A,
-#: one shift per member: at the ceiling one process takes 2.3-2.7 s at
-#: 43 MB peak RSS.  explore-problem1 first generates a Stanley sequence
+#: one shift per member: at the ceiling one process takes 2.3-3.2 s at
+#: 35 MB peak RSS.  explore-problem1 first generates a Stanley sequence
 #: of order K + 1.  At a prime order from seed 0,1 that is a closed form
 #: and the scan takes nearly all of the time, growing with the square of
-#: upto: --order 4 takes 0.5-0.8 s at 2 * 10^5 (21 MB) and 10 s at 10^6
-#: (42 MB), so about 17 minutes at the ceiling (extrapolated, not run).
+#: upto: --order 4 takes 0.5-0.8 s at 2 * 10^5 (21 MB) and 10-12 s at 10^6
+#: (31 MB), so about 17 minutes at the ceiling (extrapolated, not run).
 #: Other seeds and composite orders K + 1 take the bitset sieve, whose
 #: time grows with the term count times upto, as the scan's does:
 #: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
-#: 10^6 (21 MB), about half of it generation.  Each figure is a whole
-#: CLI process on a 2-core x86-64 host.
+#: 10^6 (21 MB), about half of it generation.  Time grows with K too, as
+#: each pass loops once per j below about K: at 2 * 10^5 from seed 0,
+#: --order 50 takes 22 s (40 MB) and --order 200 about 110 s.  Each
+#: figure is a whole CLI process on a 2-core x86-64 host.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.

@@ -16,6 +16,7 @@ and the `count` field of QPoint and DensitySample shadows tuple.count.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cmp_to_key
 
 from .sequence import count_leq
 
@@ -106,14 +107,11 @@ def profile(max_level: int) -> DensityProfile:
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
     samples = []
-    best = None
     for level in range(max_level + 1):
         for lead in (1, 2, 3, 4):
             q = q_point(lead, level)
-            s = _sample(q.value, q.count)
-            samples.append(s)
-            if best is None or _cmp_samples(s, best) > 0:
-                best = s
+            samples.append(_sample(q.value, q.count))
+    best = max(samples, key=cmp_to_key(_cmp_samples))  # the first of equal maxima
     return DensityProfile(samples=samples, argmax=best)
 
 

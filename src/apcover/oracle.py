@@ -32,10 +32,10 @@ class FiniteSet:
         if values and values[0] < 0:
             raise ValueError("values must be nonnegative")
         self._values = values
-        self._set = set(values)
 
     def member(self, n: int) -> bool:
-        return n in self._set
+        i = bisect_left(self._values, n)
+        return i < len(self._values) and self._values[i] == n
 
     def iter_upto(self, limit: int) -> Iterator[int]:
         return iter(self._values[: bisect_right(self._values, limit)])
@@ -173,7 +173,9 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     """
     if len(table) <= hi:
         raise ValueError("membership table must cover [0, hi]")
-    rev = int(bytes(table[: hi + 1]).translate(_BITS), 2)  # bit hi - v: member v
+    if len(table) > hi + 1:
+        table = table[: hi + 1]
+    rev = int(table.translate(_BITS), 2)  # bit hi - v: member v
     classes: dict[int, dict[int, int]] = {}
     uncovered: list[int] = []
     covered = base = 0

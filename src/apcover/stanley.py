@@ -56,8 +56,8 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
     Below it every k-AP ending at x lies at or above the floor, which
     `covered` holds, or wholly in seed[:i], which `ap_tails` decides.
     When x reaches the bound, the state is rebuilt on the next floor by
-    replaying the terms, so no int grows with a gap in the seed that no
-    k-AP has yet crossed.
+    replaying the terms through the step new terms take, so no int
+    grows with a gap in the seed that no k-AP has yet crossed.
     """
     terms = list(seed)
     x = seed[-1] + 1  # the next undecided value
@@ -70,9 +70,26 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
         floor = top = base = seed[i]
         rev = covered = 0
         classes: dict[int, dict[int, int]] = {}  # j -> {r: G[j][r]}
-
-        def add(t: int) -> None:
-            nonlocal top, rev, covered, base
+        n = i  # terms[n] joins the state next: replayed terms, then new ones
+        while n < len(terms) or x < horizon:
+            if n == len(terms):
+                off, width = terms[-1] + 1 - base, 64
+                while True:  # widen the window while it is full
+                    low = (covered & ((1 << (off + width)) - 1)) >> off
+                    if low != (1 << width) - 1:
+                        break
+                    width *= 2
+                x = terms[-1] + (low ^ (low + 1)).bit_length()  # its lowest zero bit
+                if x >= horizon:
+                    break
+                if below and ap_tails(x, below, present, k):
+                    covered |= 1 << (x - base)
+                    continue
+                yield x
+                terms.append(x)
+                x += 1
+            t = terms[n]
+            n += 1
             if t > top:
                 span = top - floor or 64
                 while floor + span < t:
@@ -93,26 +110,6 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
                 r = p % j
                 if r in cls:
                     cls[r] |= 1 << (p // j)
-
-        for t in terms[i:]:
-            add(t)
-        while x < horizon:
-            off, width = terms[-1] + 1 - base, 64
-            while True:  # widen the window while it is full
-                low = (covered & ((1 << (off + width)) - 1)) >> off
-                if low != (1 << width) - 1:
-                    break
-                width *= 2
-            x = terms[-1] + (low ^ (low + 1)).bit_length()  # its lowest zero bit
-            if x >= horizon:
-                break
-            if below and ap_tails(x, below, present, k):
-                covered |= 1 << (x - base)
-                continue
-            yield x
-            terms.append(x)
-            add(x)
-            x += 1
 
 
 def _no_top_digit(p: int) -> Iterator[int]:

@@ -173,4 +173,5 @@ def test_finite_set_validation():
         FiniteSet([-1, 2])
     s = FiniteSet([0, 4, 9])
     assert s.member(4) and not s.member(5)
+    assert not s.member(10) and not s.member(-1)
     assert list(s.iter_upto(4)) == [0, 4]
