@@ -543,17 +543,103 @@ def test_bad_seed_message_names_the_bad_part(capsys):
         assert err.endswith(f"bad seed list: {quoted}\n")
 
 
+COMMANDS = (
+    "member", "count", "nth", "witness", "verify-covering",
+    "min-n0", "stanley", "density", "argmax", "explore-problem1",
+)
+
+
 def test_help_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0 and err == ""
     assert out.startswith("usage: apcover")
+    assert "{" + ",".join(COMMANDS) + "}" in out
 
 
 def test_every_subcommand_has_a_handler():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS) == list(COMMANDS)
     for name, p in sub.choices.items():
         assert callable(p.get_default("run")), name
+
+
+# a valid call's arguments, each list ending in an int
+VALID = {
+    "member": ["26"],
+    "count": ["5"],
+    "nth": ["7"],
+    "witness": ["100"],
+    "verify-covering": ["--from", "32", "--to", "40"],
+    "min-n0": ["--upto", "100"],
+    "stanley": ["--order", "3", "--seed", "0,1", "--count", "5"],
+    "density": ["--max-level", "3"],
+    "argmax": ["--upto", "100"],
+    "explore-problem1": ["--order", "3", "--seed", "0,1", "--upto", "50"],
+}
+
+
+def _parse(capsys, parser, argv):
+    """What parsing argv gives: its namespace, usage error or exit, and output."""
+    try:
+        result = ("namespace", vars(parser.parse_args(argv)))
+    except cli._Usage as err:
+        result = ("usage", str(err))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_subparser_parses_like_all(capsys, name):
+    valid = VALID[name]
+    for argv, kind in [
+        ([name, *valid], "namespace"),
+        ([name, *valid[2:]], "usage"),  # its first argument missing
+        ([name, *valid[:-1], "x"], "usage"),  # a malformed int
+        ([name, *valid, "extra"], "usage"),
+        ([name, "-h"], "exit"),
+    ]:
+        narrow = _parse(capsys, cli._build_parser(name), argv)
+        assert narrow == _parse(capsys, cli._build_parser(), argv), argv
+        assert narrow[0][0] == kind, (argv, narrow)
+    # the last call printed the subcommand's help
+    assert narrow[1].startswith(f"usage: apcover {name} "), narrow
+
+
+def test_no_or_unknown_command_names_every_command(capsys):
+    assert run(capsys) == (
+        2, "", "apcover: error: the following arguments are required: command\n"
+    )
+    code, out, err = run(capsys, "bogus")
+    assert (code, out) == (2, "")
+    prefix = "apcover: error: argument command: invalid choice: 'bogus' (choose from "
+    assert err.startswith(prefix)
+    # newer Pythons print the choices without quotes
+    assert err[len(prefix):].replace("'", "") == ", ".join(COMMANDS) + ")\n"
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["count", "5"], 1),
+        (["verify-covering", "--from", "32", "--to", "40"], 1),
+        (["--help"], 10),
+        (["bogus"], 10),
+    ],
+)
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch, argv, built):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    cli.main(argv)
+    assert len(added) == built, added
 
 
 def test_count_negative_rejected(capsys):
