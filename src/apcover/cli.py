@@ -51,10 +51,12 @@ MAX_UPTO = 10**7
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The
-#: search time grows about with the cube of the digit count.  Below
-#: 4**256 (level 255) it took 0.14-0.37 s over q(1, l), q(1, l) - 1,
-#: q(2, l) - 1, q(4, l), level_max(l), 4**(l+1) - 1 and random bounds;
-#: 10**200 takes 0.54 s and 10**1000 56 s.
+#: search visits about level**2 nodes at linear big-int work each, so
+#: its time grows about with the cube of the digit count.  Through
+#: cli.main, in-process on a 2-core x86-64 host, bounds near 4**256 took
+#: 0.041-0.047 s: q(1, 255), q(1, 255) - 1, q(2, 255) - 1, q(4, 254),
+#: level_max(254), 4**256 - 1 and random bounds of level 255.  The
+#: search alone takes 0.09 s at 10**200 and 26 s at 10**1000.
 MAX_ARGMAX = 4**256
 
 #: Ceiling on density --max-level, checked before any sample is made.
@@ -192,8 +194,7 @@ def _cmd_argmax(args) -> int:
     if args.upto < 1:
         raise _Usage("--upto must be >= 1")
     _at_most("--upto", args.upto, MAX_ARGMAX)
-    n = density.argmax_upto(args.upto)
-    count = count_leq(n)
+    n, count, _ = density._search(args.upto)
     ratio = (count * count / n) ** 0.5
     print(f"n={n} count={count} ratio={ratio:.12g}")
     return 0

@@ -6,7 +6,9 @@ the squared ratio tends to 3*(lead+4)**2 / (3*lead+2); the largest of
 the four limits, 15, is reached at lead 1.  argmax_upto finds the exact
 maximizer up to any bound by branch and bound over A's digit tree: a
 subtree of members in [lo, hi] can reach no ratio above
-A(min(hi, bound))**2 / lo.  Every ordering decision is made by exact
+A(min(hi, bound))**2 / lo.  Each node carries that count down the
+tree, so count_leq runs only on the path of nodes that straddle the
+bound, about once per level.  Every ordering decision is made by exact
 integer cross-multiplication (count**2 * n' versus count'**2 * n);
 floats appear only in exports.  The records are named tuples: they
 also iterate, index and compare equal to a plain tuple of their fields,
@@ -130,31 +132,68 @@ def argmax_upto(n_max: int) -> int:
     which finds the large ratios early.  A leaf is one member v <= n_max whose
     bound is its own ratio, so a leaf that survives the test is a new
     best.  Every comparison is an integer cross-multiplication.
+
+    Each node carries its count down the tree; a node is within n_max
+    when hi <= n_max.  A top node (lead, level) within n_max counts the
+    members of its block and of every block below it, and one past
+    n_max has A(n_max).  A digit-2 child shares its parent's hi, so its
+    count.  A digit-1 child of a node within n_max has its parent's
+    count less the 2**f members of its digit-2 sibling.  Only a digit-1
+    child that lies within n_max while its parent straddles n_max calls
+    count_leq: at most once per level.
     """
+    return _search(n_max)[0]
+
+
+def _node_members(prefix: int, f: int) -> int:
+    """Members of A in the node `prefix` with f free low digits: one
+    per choice of 1 or 2 in each.  The search's one count identity
+    besides count_leq, kept apart so that a test can weight both."""
+    return 1 << f
+
+
+def _search(n_max: int) -> tuple[int, int, int]:
+    """argmax_upto's search: (best n, A(best n), nodes whose bound it tested)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    best_n, best_count = 1, 1
-    stack = []  # (prefix, free low digits f, ones(f)); top level on top
+    best_n, best_count, nodes = 1, 1, 0
+    past = count_leq(n_max)  # the count of every node reaching past n_max
+    stack = []  # (prefix, free low digits f, ones(f), count); top level on top
+    total = 0  # members up to the current block
     for level in range((n_max.bit_length() + 1) // 2):  # 4**level <= n_max
         ones = ((1 << 2 * level) - 1) // 3
-        for lead in (4, 3, 2, 1):
-            stack.append((lead << 2 * level, level, ones))
+        block = []
+        for lead in (1, 2, 3, 4):
+            prefix = lead << 2 * level
+            total += _node_members(prefix, level)
+            count = total if prefix + 2 * ones <= n_max else past
+            block.append((prefix, level, ones, count))
+        stack += reversed(block)
     while stack:
-        prefix, f, ones = stack.pop()
+        prefix, f, ones, count = stack.pop()
         lo = prefix + ones
         if lo > n_max:
             continue
-        count = count_leq(min(prefix + 2 * ones, n_max))
+        nodes += 1
         lhs, rhs = count * count * best_n, best_count * best_count * lo
         if lhs < rhs or (lhs == rhs and lo >= best_n):
             continue
         if not f:
             best_n, best_count = lo, count
             continue
+        within = prefix + 2 * ones <= n_max
         f -= 1
-        stack.append((prefix + (1 << 2 * f), f, ones >> 2))
-        stack.append((prefix + (2 << 2 * f), f, ones >> 2))
-    return best_n
+        ones >>= 2
+        low, high = prefix + (1 << 2 * f), prefix + (2 << 2 * f)
+        if within:
+            low_count = count - _node_members(high, f)
+        elif low + 2 * ones <= n_max:
+            low_count = count_leq(low + 2 * ones)
+        else:
+            low_count = past
+        stack.append((low, f, ones, low_count))
+        stack.append((high, f, ones, count))
+    return best_n, best_count, nodes
 
 
 def write_csv(samples: Iterable[DensitySample], stream: IO[str]) -> None:

@@ -97,6 +97,39 @@ def argmax_full_scan_prefixes(values: list[int], n_max: int) -> list[int]:
     return out
 
 
+def argmax_branch_and_bound(n_max: int, count) -> int:
+    """argmax of count(n)**2 / n over n in [1, n_max], first on ties.
+
+    The branch and bound over A's digit tree that `density.argmax_upto`
+    runs, with one count(min(hi, n_max)) call per node where the
+    library carries counts down the tree.  A node (prefix, f, ones(f))
+    spans [prefix + ones, prefix + 2 * ones].  The counting function is
+    passed in, so nothing here is the library's.
+    """
+    best_n, best_count = 1, 1
+    stack = []  # (prefix, free low digits f, ones(f)); top level on top
+    for level in range((n_max.bit_length() + 1) // 2):  # 4**level <= n_max
+        ones = ((1 << 2 * level) - 1) // 3
+        for lead in (4, 3, 2, 1):
+            stack.append((lead << 2 * level, level, ones))
+    while stack:
+        prefix, f, ones = stack.pop()
+        lo = prefix + ones
+        if lo > n_max:
+            continue
+        c = count(min(prefix + 2 * ones, n_max))
+        lhs, rhs = c * c * best_n, best_count * best_count * lo
+        if lhs < rhs or (lhs == rhs and lo >= best_n):
+            continue
+        if not f:
+            best_n, best_count = lo, c
+            continue
+        f -= 1
+        stack.append((prefix + (1 << 2 * f), f, ones >> 2))
+        stack.append((prefix + (2 << 2 * f), f, ones >> 2))
+    return best_n
+
+
 def contains_k_ap(values: list[int], k: int) -> bool:
     """Definitional scan over every (start, difference) pair."""
     present = set(values)

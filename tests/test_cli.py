@@ -356,9 +356,67 @@ def test_argmax(capsys):
     assert out == "n=26 count=16 ratio=3.13785816221\n"
 
 
+def _q1(level):
+    return cli.density.q_point(1, level).value
+
+
+_Q1_100 = "2678230073764983792569936820568604337537004989637988058835626"
+
+
+# stdout recorded before the search carried its counts down the tree:
+# q(1, l) - 1, q(1, l) and 4**(l+1) - 1 for l = 5, 20, 100, and three
+# bounds in the range perfbench's block-scan draws from
+@pytest.mark.parametrize(
+    "upto, out",
+    [
+        pytest.param(_q1(5) - 1, "n=1705 count=155 ratio=3.75378596765", id="q1(5)-1"),
+        pytest.param(_q1(5), "n=1706 count=156 ratio=3.7768965097", id="q1(5)"),
+        pytest.param(4**6 - 1, "n=1706 count=156 ratio=3.7768965097", id="4^6-1"),
+        pytest.param(
+            _q1(20) - 1, "n=1832519379625 count=5242875 ratio=3.87297965264",
+            id="q1(20)-1",
+        ),
+        pytest.param(
+            _q1(20), "n=1832519379626 count=5242876 ratio=3.87298039136", id="q1(20)"
+        ),
+        pytest.param(
+            4**21 - 1, "n=1832519379626 count=5242876 ratio=3.87298039136", id="4^21-1"
+        ),
+        pytest.param(
+            _q1(100) - 1,
+            "n=2678230073764983792569936820568604337537004989637988058835625 "
+            "count=6338253001141147007483516026875 ratio=3.87298334621",
+            id="q1(100)-1",
+        ),
+        pytest.param(
+            _q1(100),
+            f"n={_Q1_100} count=6338253001141147007483516026876 ratio=3.87298334621",
+            id="q1(100)",
+        ),
+        pytest.param(
+            4**101 - 1,
+            f"n={_Q1_100} count=6338253001141147007483516026876 ratio=3.87298334621",
+            id="4^101-1",
+        ),
+        pytest.param(10**6, "n=436906 count=2556 ratio=3.86693475997", id="10^6"),
+        pytest.param(
+            2 * 4**13 + 1, "n=111848106 count=40956 ratio=3.87260513672", id="134217729"
+        ),
+        pytest.param(
+            201450049, "n=111848106 count=40956 ratio=3.87260513672", id="201450049"
+        ),
+        pytest.param(
+            2 * 4**14 - 1, "n=447392426 count=81916 ratio=3.87279423858", id="536870911"
+        ),
+    ],
+)
+def test_argmax_frozen(capsys, upto, out):
+    assert run(capsys, "argmax", "--upto", str(upto)) == (0, out + "\n", "")
+
+
 @pytest.mark.parametrize("upto", [cli.MAX_ARGMAX + 1, 10**1000])
 def test_argmax_upto_too_large(capsys, monkeypatch, upto):
-    monkeypatch.setattr(cli.density, "argmax_upto", _refuse_to_run)
+    monkeypatch.setattr(cli.density, "_search", _refuse_to_run)
     code, out, err = run(capsys, "argmax", "--upto", str(upto))
     assert code == 2 and out == ""
     assert err == f"--upto must be at most {cli.MAX_ARGMAX}\n"

@@ -1,6 +1,7 @@
 import io
 import json
 import pickle
+import signal
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -20,7 +21,7 @@ from apcover.density import (
     write_csv,
     write_jsonl,
 )
-from apcover.sequence import count_leq
+from apcover.sequence import count_leq, level_max, level_min
 
 
 @pytest.mark.parametrize(
@@ -133,21 +134,64 @@ def test_argmax_upto_small(n_max, expected):
     assert argmax_upto(n_max) == expected
 
 
+@pytest.fixture
+def alarm():
+    """Fail the test after 10 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("n_max", [4**30, 10**100], ids=["4^30", "10^100"])
-def test_argmax_upto_visits_quadratically_many_nodes(monkeypatch, n_max):
-    # each node costs one count_leq call; about 0.5-0.7 * level**2 of
-    # them are made here, and a search that stops pruning blows up
-    # exponentially, so it fails here fast instead of running for years
+def test_argmax_upto_visits_quadratically_many_nodes(monkeypatch, alarm, n_max):
+    # about 0.5-0.7 * level**2 nodes have their bound tested, but only
+    # the path that straddles n_max calls count_leq; a search that
+    # stops pruning blows up exponentially, and the alarm fails it fast
+    # instead of letting it run for years
     level = (n_max.bit_length() - 1) // 2
     calls = []
 
     def counting(n):
         calls.append(n)
-        assert len(calls) <= 2 * level**2, "search visits too many nodes"
         return count_leq(n)
 
     monkeypatch.setattr(density, "count_leq", counting)
-    density.argmax_upto(n_max)
+    _, _, nodes = density._search(n_max)
+    assert nodes <= 2 * level**2, "search visits too many nodes"
+    assert len(calls) <= level + 2, "count_leq called off the straddling path"
+
+
+def _boundaries(max_level):
+    """q(lead, l) and its neighbours, level_min(l), level_max(l) and
+    4**(l+1) - 1 for every l <= max_level."""
+    for level in range(max_level + 1):
+        for lead in (1, 2, 3, 4):
+            q = q_point(lead, level).value
+            yield from (q - 1, q, q + 1)
+        yield from (level_min(level), level_max(level), 4 ** (level + 1) - 1)
+
+
+def _matches_reference(n_max):
+    n, count, _ = density._search(n_max)
+    assert n == brute.argmax_branch_and_bound(n_max, count_leq), n_max
+    assert count == count_leq(n), n_max
+
+
+def test_argmax_upto_matches_reference_at_boundaries():
+    for n_max in sorted(set(_boundaries(40)) - {0}) + [10**100]:
+        _matches_reference(n_max)
+
+
+@given(st.integers(1, 4**60 - 1))
+@settings(max_examples=200, deadline=None)
+@example(4**60 - 1)
+def test_argmax_upto_matches_reference(n_max):
+    _matches_reference(n_max)
 
 
 def test_argmax_upto_matches_full_scan_every_n_to_3000():
@@ -195,16 +239,30 @@ _MEMBERS_4_5 = brute.elements_upto(4**5)
 @given(st.lists(st.sampled_from([0, 1, 2]), min_size=104, max_size=104))
 @settings(max_examples=100, deadline=None)
 @example([0] * 104)  # counts 1, 1, 1, 2 at members 1..4: 1 and 4 tie
+# at N = 153, 17 ties 153, which the search meets first, and wins as the smaller
+@example([int(w) for w in "21011110000001012012100010011110212"] + [0] * 69)
 def test_argmax_upto_breaks_ties_to_smaller_n(weights):
     # A has no tied maxima within reach of a scan, so give its members
     # small weights: every bound still holds for a nondecreasing count
-    # that only rises at members, and equal ratios become common
+    # that only rises at members, and equal ratios become common.  The
+    # search's one count identity, a node's member count, follows the
+    # weights too.
     members = _MEMBERS_4_5
     counts = list(accumulate([1, 0, 0, 1] + weights))
+
+    def weighted(n):
+        return counts[bisect_right(members, n) - 1] if n >= members[0] else 0
+
+    def node_members(prefix, f):
+        ones = ((1 << 2 * f) - 1) // 3
+        return weighted(prefix + 2 * ones) - weighted(prefix + ones - 1)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density, "count_leq", lambda n: counts[bisect_right(members, n) - 1])
+        mp.setattr(density, "count_leq", weighted)
+        mp.setattr(density, "_node_members", node_members)
         for v, best in zip(members, _member_scan(members, counts)):
             assert argmax_upto(v) == best, v
+            assert brute.argmax_branch_and_bound(v, weighted) == best, v
 
 
 def test_argmax_upto_at_q_point_is_the_q_point():
