@@ -32,7 +32,7 @@ from .witness import MIN_N, find_witness, validate, witness_sweep
 #: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
 #: 10^6 (21 MB), about half of it generation.  Time grows with K too, as
 #: each pass loops once per j below about K: at 2 * 10^5 from seed 0,
-#: --order 50 takes 22 s (40 MB) and --order 200 about 110 s.  Each
+#: --order 50 takes 23 s (40 MB) and --order 200 66 s (47 MB).  Each
 #: figure is a whole CLI process on a 2-core x86-64 host.
 MAX_UPTO = 10**7
 

@@ -111,9 +111,9 @@ def covering_pass(rev: int, p: int, off: int, classes: dict, k: int) -> int:
     `rev` with r = p % j, so the residue class G[j][r] (bit i set iff
     bit r + j*i of `rev` is), shifted right by p//j + 1, lines it up
     too, and one AND per j keeps the d where all are members.  `classes`
-    maps j to {r: G[j][r]}, each class built on first use; a k more than
-    2 above t less the lowest member builds none.  The run is shifted up
-    by off.
+    maps j to [G[j][0], ..., G[j][j-1]], built on first use of j.  A k
+    more than 2 above t less the lowest member returns first, so a built
+    j is at most the top bit index of `rev`.  The run is shifted up by off.
 
     At k = 3 with off <= p + 1 a pass is one shift: `rev` goes right by
     p + 1 - off straight to bit off + d - 1, and t and the members above
@@ -139,21 +139,21 @@ def covering_pass(rev: int, p: int, off: int, classes: dict, k: int) -> int:
     for j in range(2, k - 1):
         if not run:
             break
-        r = p % j
         cls = classes.get(j)
         if cls is None:
-            cls = classes[j] = {}
-        g = cls.get(r)
-        if g is None:
-            g = cls[r] = residue_class(rev, j, r)
-        run &= g >> (p // j + 1)
+            cls = classes[j] = _class_list(rev, j)
+        run &= cls[p % j] >> (p // j + 1)
     return run << off
 
 
-def residue_class(rev: int, j: int, r: int) -> int:
-    """The int whose bit i is bit r + j*i of rev."""
-    bits = format(rev >> r, "b")  # bit q is character len - 1 - q
-    return int(bits[(len(bits) - 1) % j :: j], 2)
+def _class_list(rev: int, j: int) -> list[int]:
+    """The j residue classes of rev: bit i of entry r is bit r + j*i.
+
+    j is at most the index of rev's top bit, so every r < j is in `bits`.
+    """
+    bits = format(rev, "b")  # bit q is character top - q
+    top = len(bits) - 1
+    return [int(bits[(top - r) % j :: j], 2) for r in range(j)]
 
 
 def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
@@ -176,7 +176,7 @@ def uncovered_scan(table, elements, lo: int, hi: int, k: int) -> list[int]:
     if len(table) > hi + 1:
         table = table[: hi + 1]
     rev = int(table.translate(_BITS), 2)  # bit hi - v: member v
-    classes: dict[int, dict[int, int]] = {}
+    classes: dict[int, list[int]] = {}
     uncovered: list[int] = []
     covered = base = 0
     t = table.find(1, 0, hi + 1)

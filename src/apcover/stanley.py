@@ -41,7 +41,7 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
     it, so the sieve runs `oracle.covering_pass` online, once per new
     term t, over the terms at or above a floor; the pass says what its
     state `rev`, `classes` and `covered` hold.  A term joins `rev` and
-    the one built class of each j that holds it.  The terms stop at the
+    the class of each built j that holds it.  The terms stop at the
     floor, so every k-AP the passes find lies at or above it.  The next
     term is the lowest zero bit of `covered` above the newest term,
     searched in a low window that widens only while it is full.  `top`
@@ -69,7 +69,7 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
         present = set(below)
         floor = top = base = seed[i]
         rev = covered = 0
-        classes: dict[int, dict[int, int]] = {}  # j -> {r: G[j][r]}
+        classes: dict[int, list[int]] = {}  # j -> [G[j][0], ..., G[j][j-1]]
         n = i  # terms[n] joins the state next: replayed terms, then new ones
         while n < len(terms) or x < horizon:
             if n == len(terms):
@@ -107,9 +107,7 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
             # a term at or above the pass's, which the pass would clear
             rev |= 1 << p
             for j, cls in classes.items():
-                r = p % j
-                if r in cls:
-                    cls[r] |= 1 << (p // j)
+                cls[p % j] |= 1 << (p // j)
 
 
 def _no_top_digit(p: int) -> Iterator[int]:

@@ -157,10 +157,15 @@ def test_scan_matches_brute(values, length, lo, hi, k):
     assert oracle.uncovered_scan(table, list(values), lo, hi, k) == expected
 
 
+#: all of [0, 300] but a few holes: long k-APs, so passes at k = 12 and
+#: 30 build many residue classes
+HOLES = st.sets(st.integers(0, 300), max_size=30)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sets(st.integers(0, 300)),
-    st.integers(3, 6),
+    st.sets(st.integers(0, 300)) | HOLES.map(lambda holes: set(range(301)) - holes),
+    st.sampled_from([3, 4, 5, 6, 7, 8, 12, 30]),
     st.integers(0, 300),
     st.integers(0, 300),
 )
@@ -202,9 +207,15 @@ def test_covered_matches_brute(values, length, lo, hi, k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=301), st.integers(3, 6), st.data())
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=301)
+    | HOLES.map(lambda holes: [i not in holes for i in range(301)]),
+    st.sampled_from([3, 4, 5, 6, 7, 8, 12, 30]),
+    st.data(),
+)
 def test_covered_matches_brute_random_tables(flags, k, data):
-    # about half of each table is set, so k-APs up to k = 6 are common
+    # a table about half set, where k-APs up to k = 6 are common, or
+    # one with a few holes
     hi = data.draw(st.integers(0, len(flags) - 1))
     lag = data.draw(st.sampled_from([None, 1, 7]))
     values = tuple(i for i, flag in enumerate(flags) if flag)
@@ -212,11 +223,14 @@ def test_covered_matches_brute_random_tables(flags, k, data):
 
 
 def test_residue_class():
-    rev = int("1011001110001", 2)
-    for j in range(1, 6):
-        for r in range(8):
-            bits = [rev >> q & 1 for q in range(r, rev.bit_length(), j)]
-            assert oracle.residue_class(rev, j, r) == sum(b << i for i, b in enumerate(bits))
+    # every j up to the top bit index, the range covering_pass builds
+    for rev in (0b1011001110001, 0b1100000, 1 << 40, 3**60):
+        for j in range(1, rev.bit_length()):
+            classes = oracle._class_list(rev, j)
+            assert len(classes) == j
+            for r in range(j):
+                bits = [rev >> q & 1 for q in range(r, rev.bit_length(), j)]
+                assert classes[r] == sum(b << i for i, b in enumerate(bits)), (rev, j, r)
 
 
 #: tables longer than 3 * SETTLE, so that the scan reads out and shifts

@@ -100,9 +100,10 @@ def stanley_cases(draw):
     terms before it; a gap of 20..200 is one the terms later reach.  A
     chain seed is 0 followed by 2^i + c, each gap at most one wider than
     the span below it, so k-APs lying wholly below the sieve's floor end
-    just above the seed.
+    just above the seed.  At k = 12 and 30 the sieve builds residue
+    classes of up to 28 entries, and at 12 some cases rebuild them.
     """
-    k = draw(st.integers(3, 8))
+    k = draw(st.sampled_from([3, 4, 5, 6, 7, 8, 12, 30]))
     gap = draw(st.sampled_from([None, "near", "far", "chain"]))
     if gap == "chain":
         seed = [0]
@@ -147,11 +148,12 @@ def test_generate_upto_limit_at_and_below_a_term(seed, k):
 
 @pytest.mark.parametrize(
     "seed, k",
-    [([0, 300], 3), ([0, 1, 700], 3), ([0, 2, 500, 503], 4), ([1, 400], 5)],
+    [([0, 300], 3), ([0, 1, 700], 3), ([0, 2, 500, 503], 4), ([1, 400], 5), ([1, 400], 30)],
 )
 def test_seed_gap_marks_reached(seed, k):
     # the terms after the gap run past twice its width, so k-APs with
-    # terms on both sides of the gap come into play
+    # terms on both sides of the gap come into play; at k = 30 the sieve
+    # rebuilds 28 lists of residue classes each time `top` doubles
     terms = generate(seed, k, 400)
     assert terms[-1] > 2 * seed[-1]
     assert terms == one_step(seed, k, 400)
