@@ -23,10 +23,11 @@ from .witness import MIN_N, find_witness, validate, witness_sweep
 #: member t, at any order, on ints about t bits long.  min-n0 scans A,
 #: one shift per member: at the ceiling one process takes 2.3-3.2 s at
 #: 35 MB peak RSS.  explore-problem1 first generates a Stanley sequence
-#: of order K + 1.  At a prime order from seed 0,1 that is a closed form
-#: and the scan takes nearly all of the time, growing with the square of
-#: upto: --order 4 takes 0.5-0.8 s at 2 * 10^5 (21 MB) and 10-12 s at 10^6
-#: (31 MB), so about 17 minutes at the ceiling (extrapolated, not run).
+#: of order K + 1.  At a prime order up to 7 from seed 0,1 that is a
+#: closed form, whose uncovered n come from a digit automaton instead of
+#: the scan, and generating the terms takes most of the time: --order 4
+#: takes 0.11-0.15 s at 10^6 (30 MB) and 0.34-0.46 s at the ceiling
+#: (107 MB); the scan took 9.5 s at 10^6 and grows with the square of upto.
 #: Other seeds and composite orders K + 1 take the bitset sieve, whose
 #: time grows with the term count times upto, as the scan's does:
 #: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
@@ -208,11 +209,9 @@ def _cmd_explore(args) -> int:
     _at_most("--upto", args.upto, MAX_UPTO)
     order = args.order + 1
     try:
-        terms = stanley.generate_upto(args.seed, order, args.upto)
+        terms, uncovered = stanley.explore(args.seed, args.order, args.upto)
     except ValueError as err:
         raise _Usage(str(err))
-    seq = oracle.FiniteSet(terms)
-    uncovered = oracle.uncovered_in_range(seq, 0, args.upto, args.order)
     print(
         f"stanley_order={order} terms={len(terms)} max_term={terms[-1]} "
         f"scanned_to={args.upto} uncovered={len(uncovered)}"

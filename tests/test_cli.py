@@ -15,7 +15,7 @@ import pytest
 import apcover
 import brute
 from apcover import _kernels, cli, oracle, witness
-from apcover.stanley import generate, greedy_next
+from apcover.stanley import generate, generate_upto, greedy_next
 
 
 def run(capsys, *argv):
@@ -469,6 +469,20 @@ def test_explore_problem1(capsys):
     assert "scanned_to=200" in first
 
 
+#: The n <= 10^6 that the order-5 Stanley sequence from 0,1 leaves
+#: without a 4-AP witness, as the scan found them.
+EXPLORE_ORDER4_1E6 = [
+    0, 1, 2, 5, 6, 10, 25, 27, 30, 31, 50, 125, 135, 150, 152, 155, 156, 250,
+    625, 675, 750, 760, 775, 777, 780, 781, 1250, 3125, 3375, 3750, 3800, 3875,
+    3885, 3900, 3902, 3905, 3906, 6250, 15625, 16875, 18750, 19000, 19375,
+    19425, 19500, 19510, 19525, 19527, 19530, 19531, 31250, 78125, 84375,
+    93750, 95000, 96875, 97125, 97500, 97550, 97625, 97635, 97650, 97652,
+    97655, 97656, 156250, 390625, 421875, 468750, 475000, 484375, 485625,
+    487500, 487750, 488125, 488175, 488250, 488260, 488275, 488277, 488280,
+    488281, 781250,
+]
+
+
 @pytest.mark.parametrize(
     "order, upto, expected",
     [
@@ -533,6 +547,39 @@ def test_explore_problem1(capsys):
             " 2744 2746 2751 2754 2758 2759 2760 2765 2766 2772 2793 2794 2795"
             " 2796 2797 2800 2801 2802 2807 2809 2842 2856 2858\n",
         ),
+        (
+            "4",
+            "200000",
+            "stanley_order=5 terms=45056 max_term=199218 scanned_to=200000"
+            " uncovered=66\n"
+            "uncovered: " + " ".join(map(str, EXPLORE_ORDER4_1E6[:66])) + "\n",
+        ),
+        (
+            "4",
+            "1000000",
+            "stanley_order=5 terms=180224 max_term=996093 scanned_to=1000000"
+            " uncovered=83\n"
+            "uncovered: " + " ".join(map(str, EXPLORE_ORDER4_1E6)) + "\n",
+        ),
+        (
+            "6",
+            "30000",
+            "stanley_order=7 terms=15024 max_term=30000 scanned_to=30000 uncovered=187\n"
+            "uncovered: 0 1 2 3 4 7 8 9 10 14 15 16 21 22 28 49 50 51 52 53 56"
+            " 57 58 63 65 70 71 98 100 105 112 114 147 154 196 343 345 350 353"
+            " 357 358 359 364 365 371 392 393 394 395 396 399 400 401 406 408"
+            " 441 455 457 490 497 686 700 702 735 784 798 800 1029 1078 1372"
+            " 2401 2415 2417 2450 2471 2499 2501 2506 2513 2515 2548 2555 2597"
+            " 2744 2746 2751 2754 2758 2759 2760 2765 2766 2772 2793 2794 2795"
+            " 2796 2797 2800 2801 2802 2807 2809 2842 2856 2858 3087 3185 3199"
+            " 3201 3430 3479 4802 4900 4914 4916 5145 5488 5586 5600 5602 7203"
+            " 7546 9604 16807 16905 16919 16921 17150 17297 17493 17507 17509"
+            " 17542 17591 17605 17607 17836 17885 18179 19208 19222 19224 19257"
+            " 19278 19306 19308 19313 19320 19322 19355 19362 19404 19551 19553"
+            " 19558 19561 19565 19566 19567 19572 19573 19579 19600 19601 19602"
+            " 19603 19604 19607 19608 19609 19614 19616 19649 19663 19665 19894"
+            " 19992 20006 20008 21609 22295 22393 22407 22409 24010 24353\n",
+        ),
     ],
 )
 def test_explore_problem1_frozen(capsys, order, upto, expected):
@@ -541,6 +588,84 @@ def test_explore_problem1_frozen(capsys, order, upto, expected):
     )
     assert code == 0
     assert out == expected
+
+
+def test_explore_problem1_order4_at_ceiling(capsys, alarm):
+    # the closed form's digit automaton, not the scan: the scan's time
+    # grows with the square of upto and would take about 17 minutes here
+    code, out, _ = run(
+        capsys, "explore-problem1", "--order", "4", "--seed", "0,1", "--upto", "10000000"
+    )
+    assert code == 0
+    first, second = out.splitlines()
+    uncovered = second.split()[1:]
+    assert first == (
+        "stanley_order=5 terms=1097729 max_term=10000000 scanned_to=10000000"
+        f" uncovered={len(uncovered)}"
+    )
+    assert uncovered[: len(EXPLORE_ORDER4_1E6)] == list(map(str, EXPLORE_ORDER4_1E6))
+
+
+def _explore_by_scan(order, seed, upto):
+    """explore-problem1's stdout, its uncovered n found by the scan."""
+    terms = generate_upto(seed, order + 1, upto)
+    gaps = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, order)
+    out = (
+        f"stanley_order={order + 1} terms={len(terms)} max_term={terms[-1]} "
+        f"scanned_to={upto} uncovered={len(gaps)}\n"
+    )
+    return out + ("uncovered: " + " ".join(map(str, gaps)) + "\n" if gaps else "")
+
+
+def _explore(capsys, order, seed, upto):
+    text = ",".join(map(str, seed))
+    return run(capsys, "explore-problem1", "--order", str(order), "--seed", text,
+               "--upto", str(upto))
+
+
+@pytest.mark.parametrize(
+    "order, seed", [(4, [0]), (4, [0, 1]), (4, [0, 1, 2, 3, 5]), (6, [0, 1])]
+)
+def test_explore_problem1_closed_form_skips_the_scan(capsys, monkeypatch, order, seed):
+    expected = _explore_by_scan(order, seed, 3000)
+    monkeypatch.setattr(oracle, "uncovered_in_range", _refuse_to_run)
+    assert _explore(capsys, order, seed, 3000) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "order, seed", [(3, [0, 1]), (4, [0, 2]), (10, [0, 1])]
+)
+def test_explore_problem1_other_sets_take_the_scan(capsys, monkeypatch, order, seed):
+    # order 3 has no closed form (4 is not prime), 0,2 does not start
+    # it, and order 10 (prime 11) is past the automaton's cut-off
+    expected = _explore_by_scan(order, seed, 1000)
+    calls = []
+    scan = oracle.uncovered_in_range
+
+    def counted(seq, lo, hi, k):
+        calls.append((lo, hi, k))
+        return scan(seq, lo, hi, k)
+
+    monkeypatch.setattr(oracle, "uncovered_in_range", counted)
+    assert _explore(capsys, order, seed, 1000) == (0, expected, "")
+    assert calls == [(0, 1000, order)]
+
+
+def test_import_builds_no_digit_automaton():
+    # the automaton is built on the first call that needs it, so a
+    # process that never explores a closed form pays nothing for it
+    code = (
+        "import apcover.cli; "
+        "print(apcover.cli.stanley._digit_automaton.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "0\n"
 
 
 def test_explore_problem1_bad_seed(capsys):

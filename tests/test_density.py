@@ -1,7 +1,6 @@
 import io
 import json
 import pickle
-import signal
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -132,19 +131,6 @@ def test_profile_sample_fields():
 )
 def test_argmax_upto_small(n_max, expected):
     assert argmax_upto(n_max) == expected
-
-
-@pytest.fixture
-def alarm():
-    """Fail the test after 10 s instead of letting it hang."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("n_max", [4**30, 10**100], ids=["4^30", "10^100"])

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover import stanley
+from apcover import oracle, stanley
 from apcover.stanley import generate, generate_upto, greedy_next
 
 STANLEY_01_16 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
@@ -261,6 +261,26 @@ def test_base_seed_never_reaches_the_sieve(p):
     assert calls == []
     assert terms == digit_free(p, 500)
     assert upto == [n for n in range(1001) if no_top_digit(n, p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7]), st.integers(1, 8), st.integers(0, 6000))
+def test_explore_automaton_matches_scan(p, length, upto):
+    # the uncovered n of a closed-form prefix come from the digit
+    # automaton; the scan over the explicit terms is the reference
+    seed = digit_free(p, length)
+    assume(seed[-1] <= upto)
+    terms = generate_upto(seed, p, upto)
+    expected = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, p - 1)
+    assert stanley.explore(seed, p - 1, upto) == (terms, expected)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_digit_automaton_matches_brute(p):
+    # n is uncovered iff no difference gives a full (p-1)-AP witness
+    members = {n for n in range(401) if no_top_digit(n, p)}
+    uncovered = [n for n in range(401) if not brute.all_cover_diffs(members, n, p - 1)]
+    assert stanley._uncovered_no_top_digit(p, 400) == uncovered
 
 
 def test_seed_check_skips_closed_form_prefixes(monkeypatch):
