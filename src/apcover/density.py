@@ -18,7 +18,6 @@ and the `count` field of QPoint and DensitySample shadows tuple.count.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cmp_to_key
 
 from .sequence import count_leq
 
@@ -44,13 +43,6 @@ class DensityProfile(namedtuple("DensityProfile", "samples argmax")):
     """The samples (a list of DensitySample) and the first of their maxima."""
 
     __slots__ = ()
-
-
-def _sample(n: int, count: int) -> DensitySample:
-    sq = count * count
-    return DensitySample(
-        n=n, count=count, ratio_num=sq, ratio_den=n, ratio=(sq / n) ** 0.5
-    )
 
 
 def q_point(lead: int, level: int) -> QPoint:
@@ -94,12 +86,6 @@ def compare_ratio(n1: int, n2: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _cmp_samples(s1: DensitySample, s2: DensitySample) -> int:
-    lhs = s1.ratio_num * s2.ratio_den
-    rhs = s2.ratio_num * s1.ratio_den
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def profile(max_level: int) -> DensityProfile:
     """Samples at every q-point with level <= max_level, plus their argmax.
 
@@ -109,11 +95,15 @@ def profile(max_level: int) -> DensityProfile:
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
     samples = []
+    best = None
     for level in range(max_level + 1):
         for lead in (1, 2, 3, 4):
-            q = q_point(lead, level)
-            samples.append(_sample(q.value, q.count))
-    best = max(samples, key=cmp_to_key(_cmp_samples))  # the first of equal maxima
+            _, _, n, count = q_point(lead, level)
+            sq = count * count
+            sample = DensitySample(n, count, sq, n, (sq / n) ** 0.5)
+            samples.append(sample)
+            if best is None or sq * best.ratio_den > best.ratio_num * n:
+                best = sample  # strictly greater: the first of equal maxima stays
     return DensityProfile(samples=samples, argmax=best)
 
 
@@ -204,18 +194,15 @@ def write_csv(samples: Iterable[DensitySample], stream: IO[str]) -> None:
 
 
 def write_jsonl(samples: Iterable[DensitySample], stream: IO[str]) -> None:
-    """JSON-lines export with the exact squared ratio alongside the float."""
-    import json  # only --jsonl needs it
+    """JSON-lines export with the exact squared ratio alongside the float.
+
+    Each line is the bytes json.dumps gives for the dict of the fields
+    n, count, ratio_num, ratio_den and ratio in that order: ", " and ": "
+    separators, the ints in decimal and the ratio through repr, as json
+    writes a finite float.  Written directly, so json is not imported.
+    """
     for s in samples:
         stream.write(
-            json.dumps(
-                {
-                    "n": s.n,
-                    "count": s.count,
-                    "ratio_num": s.ratio_num,
-                    "ratio_den": s.ratio_den,
-                    "ratio": s.ratio,
-                }
-            )
-            + "\n"
+            f'{{"n": {s.n}, "count": {s.count}, "ratio_num": {s.ratio_num}, '
+            f'"ratio_den": {s.ratio_den}, "ratio": {s.ratio!r}}}\n'
         )

@@ -292,7 +292,7 @@ def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
         raise ValueError(
             f"count {count} is below the seed length {len(seed)}"
         )
-    return seed + list(islice(terms, count - len(seed)))
+    return [*seed, *islice(terms, count - len(seed))]  # one list, extended in place
 
 
 def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
@@ -301,7 +301,7 @@ def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
     terms = _terms(seed, k)
     if seed[-1] > limit:
         raise ValueError(f"seed already exceeds limit {limit}")
-    return seed + list(takewhile(lambda t: t <= limit, terms))
+    return [*seed, *takewhile(lambda t: t <= limit, terms)]
 
 
 def explore(seed: list[int], k: int, upto: int) -> tuple[list[int], list[int]]:

@@ -62,6 +62,11 @@ def test_witness(capsys):
     assert code == 2 and err
 
 
+def test_witness_invalid(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "validate", lambda w: False)
+    assert run(capsys, "witness", "100") == (1, "a=6 b=53 n=100 INVALID\n", "")
+
+
 def test_witness_huge_value(capsys):
     code, out, _ = run(capsys, "witness", str(10**40 + 7))
     assert code == 0
@@ -116,7 +121,7 @@ def test_min_n0_frozen_at_10_6(capsys):
 
 
 def _refuse_to_run(*args, **kwargs):
-    raise AssertionError("a value above its ceiling must be rejected before any work")
+    raise AssertionError("a value out of range must be rejected before any work")
 
 
 @pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
@@ -146,6 +151,24 @@ def test_explore_problem1_negative_upto(capsys, monkeypatch, upto):
     )
     assert code == 2 and out == ""
     assert err == "--upto must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [
+        (["min-n0", "--upto", "0"], (cli.oracle, "min_threshold"), "--upto must be >= 1"),
+        (["argmax", "--upto", "0"], (cli.density, "_search"), "--upto must be >= 1"),
+        (
+            ["density", "--max-level", "-1"],
+            (cli.density, "profile"),
+            "--max-level must be nonnegative",
+        ),
+    ],
+    ids=["min-n0", "argmax", "density"],
+)
+def test_value_below_its_floor(capsys, monkeypatch, argv, work, message):
+    monkeypatch.setattr(*work, _refuse_to_run)
+    assert run(capsys, *argv) == (2, "", message + "\n")
 
 
 def test_stanley(capsys):
@@ -330,16 +353,39 @@ def test_density_out_write_fails(capsys):
     assert err == "cannot write --out '/dev/full': No space left on device\n"
 
 
+_DENSITY_ARGMAX = {
+    3: "n=106 count=36 ratio=3.49662910449",
+    300: (
+        "n=6915859281468321597520679772818601918354077053737394833326095549484421"
+        "35235484691066617841491183965714699647768550131530399191845901962551314"
+        "4791390189939478435303005669182539475626 count=1018517988167243043134222"
+        "8442046890805257341968329681253180702246771906498816683530916986876"
+        " ratio=3.87298334621"
+    ),
+}
+
+
+# stdout recorded before profile kept its argmax while sampling and
+# write_jsonl wrote its lines without json; at level 300 the ints run
+# to 183 digits
 @pytest.mark.parametrize(
-    "fmt, size, digest",
+    "fmt, size, digest, max_level",
     [
-        ("--csv", 302, "b6de99ca4cff3b3c87868fee0572474158f0a6348b87a370af23df2cb4258006"),
-        ("--jsonl", 1342, "ddd30b6b5fd706c92fcf62d631bab7c23a885942a87439976c364ca961d7b7e6"),
+        ("--csv", 302, "b6de99ca4cff3b3c87868fee0572474158f0a6348b87a370af23df2cb4258006", 3),
+        ("--jsonl", 1342, "ddd30b6b5fd706c92fcf62d631bab7c23a885942a87439976c364ca961d7b7e6", 3),
+        (
+            "--csv", 185_076,
+            "af07d09d7fd6cecb73bdf010ba872a21ce0f02c6318f0e6334ec9ed0f6313f79", 300,
+        ),
+        (
+            "--jsonl", 480_547,
+            "e7cbd6712b22176b5b444bc50535c0001ec976334403de82a5fd929c967ecaf0", 300,
+        ),
     ],
 )
-def test_density_export_frozen(capsys, fmt, size, digest):
-    code, out, err = run(capsys, "density", "--max-level", "3", fmt)
-    assert (code, err) == (0, "argmax: n=106 count=36 ratio=3.49662910449\n")
+def test_density_export_frozen(capsys, fmt, size, digest, max_level):
+    code, out, err = run(capsys, "density", "--max-level", str(max_level), fmt)
+    assert (code, err) == (0, f"argmax: {_DENSITY_ARGMAX[max_level]}\n")
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -83,6 +83,19 @@ def test_compare_ratio_is_exact():
     assert compare_ratio(27, 26) == -1
 
 
+def test_profile_and_argmax_upto_validation():
+    with pytest.raises(ValueError, match="max_level"):
+        profile(-1)
+    with pytest.raises(ValueError, match="n_max"):
+        argmax_upto(0)
+
+
+def test_q_point_cross_checks_count_leq(monkeypatch):
+    monkeypatch.setattr(density, "count_leq", lambda n: count_leq(n) + 1)
+    with pytest.raises(AssertionError, match="disagrees with count_leq"):
+        q_point(1, 5)
+
+
 def test_profile_level_zero():
     prof = profile(0)
     assert [(s.n, s.count) for s in prof.samples] == [
@@ -308,6 +321,23 @@ def test_jsonl_export():
         ("ratio_den", 4),
         ("ratio", 2.0),
     ]
+
+
+@given(
+    st.integers(0, 10**400),
+    st.integers(0, 10**400),
+    st.integers(0, 10**800),
+    st.integers(1, 10**400),
+    st.floats(0, allow_infinity=False),
+)
+@settings(max_examples=200, deadline=None)
+@example(1, 1, 1, 1, 1.0)
+@example(10**20, 3, 9, 10**20, 3e-19)  # repr switches to an exponent
+def test_jsonl_line_is_json_dumps(n, count, ratio_num, ratio_den, ratio):
+    sample = density.DensitySample(n, count, ratio_num, ratio_den, ratio)
+    buf = io.StringIO()
+    write_jsonl([sample], buf)
+    assert buf.getvalue() == json.dumps(sample._asdict()) + "\n"
 
 
 def test_exports_byte_stable():

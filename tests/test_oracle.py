@@ -43,6 +43,10 @@ def test_covers_examples():
 def test_covers_rejects_short_progressions():
     with pytest.raises(ValueError):
         covers(Naturals(), 5, 2)
+    with pytest.raises(ValueError, match="progression length"):
+        weak_covers(BLOCK_SEQUENCE, 26, 2)  # a member, checked after k
+    with pytest.raises(ValueError, match="progression length"):
+        has_k_ap([0, 1], 2)
 
 
 def test_covers_terms_are_ordered_members():
@@ -99,6 +103,8 @@ def test_min_threshold_examples():
     assert min_threshold(Evens(), 3, 100) == 99
     # frozen by the first brute-force run; every n >= 3 has a witness in A
     assert min_threshold(BLOCK_SEQUENCE, 3, 10_000) == 2
+    with pytest.raises(ValueError, match="scan_to"):
+        min_threshold(BLOCK_SEQUENCE, 3, 0)
 
 
 def test_min_threshold_dense_set():
@@ -164,6 +170,24 @@ def test_ap_tails_matches_brute(values, above, k):
     assert bool(tails) == brute.ap_completes_at(set(members), c, k)
     diffs = brute.all_cover_diffs(set(members), c, k)
     assert tails == [c - d for d in reversed(diffs)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, k, message",
+    [
+        (0, 10, 2, "progression length"),
+        (5, 4, 3, "bad scan range"),
+        (-1, 10, 3, "bad scan range"),
+    ],
+    ids=["k=2", "hi<lo", "lo<0"],
+)
+def test_uncovered_in_range_validation(lo, hi, k, message):
+    with pytest.raises(ValueError, match=message):
+        uncovered_in_range(BLOCK_SEQUENCE, lo, hi, k)
+
+
+def test_ap_tails_with_nothing_earlier():
+    assert ap_tails(5, [], set(), 3) == []
 
 
 def test_finite_set_validation():
