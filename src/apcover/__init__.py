@@ -8,10 +8,11 @@ progression, and A(n)/sqrt(n) tends to sqrt(15) along the all-twos
 members while staying below 4 everywhere.
 
 Modules: sequence (membership / counting / ranking / decomposition),
-witness (constructive 3-AP witnesses and the sweep that checks them
-over a range), oracle (brute-force covering checks over any integer
-sequence and the bitset covering scan), stanley (greedy AP-free
-generator), density (exact ratio analysis), cli (command line).
+witness (constructive 3-AP witnesses in closed form and the sweep
+that checks them over a range), oracle (the bitset covering scan over
+any integer sequence and the k-AP filter on explicit lists), stanley
+(greedy AP-free generator), density (exact ratio analysis), cli
+(command line).
 """
 
 from .sequence import (

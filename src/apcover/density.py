@@ -200,9 +200,13 @@ def write_jsonl(samples: Iterable[DensitySample], stream: IO[str]) -> None:
     n, count, ratio_num, ratio_den and ratio in that order: ", " and ": "
     separators, the ints in decimal and the ratio through repr, as json
     writes a finite float.  Written directly, so json is not imported.
+    n goes to decimal once, and ratio_den reuses it when they are equal,
+    as in every sample `profile` makes.
     """
     for s in samples:
+        n = str(s.n)
+        den = n if s.ratio_den == s.n else s.ratio_den
         stream.write(
-            f'{{"n": {s.n}, "count": {s.count}, "ratio_num": {s.ratio_num}, '
-            f'"ratio_den": {s.ratio_den}, "ratio": {s.ratio!r}}}\n'
+            f'{{"n": {n}, "count": {s.count}, "ratio_num": {s.ratio_num}, '
+            f'"ratio_den": {den}, "ratio": {s.ratio!r}}}\n'
         )

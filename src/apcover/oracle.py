@@ -1,12 +1,11 @@
-"""Brute-force ground truth for AP_k covering questions.
+"""Covering checks for AP_k questions over any integer sequence.
 
-Everything here works against any sequence object with member(n) and
-iter_upto(limit) (the members up to limit, increasing), so the same
-oracle validates the block construction, Stanley sequences and ad-hoc
-sets.  Single queries scan the common difference d = 1, 2, ...
-directly.  Bulk range scans go through `uncovered_scan`, which covers
-every n at once with one `covering_pass` per member (same verdicts as
-covers, much cheaper); `covering_pass` says how.
+A sequence is any object whose iter_upto(limit) yields its members up
+to limit in increasing order, so the same checks serve the block
+construction, Stanley sequences and ad-hoc sets.  n is covered when
+some d >= 1 puts n - (k-1)*d, ..., n - d all in the sequence.  Range
+questions go through `uncovered_scan`, which covers every n at once
+with one `covering_pass` per member; `covering_pass` says how.
 
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
@@ -23,7 +22,7 @@ from collections.abc import Iterator
 
 
 class FiniteSet:
-    """Sequence view (member, iter_upto) of an explicit strictly increasing list."""
+    """Sequence view (iter_upto) of an explicit strictly increasing list."""
 
     def __init__(self, values) -> None:
         values = list(values)
@@ -33,49 +32,14 @@ class FiniteSet:
             raise ValueError("values must be nonnegative")
         self._values = values
 
-    def member(self, n: int) -> bool:
-        i = bisect_left(self._values, n)
-        return i < len(self._values) and self._values[i] == n
-
     def iter_upto(self, limit: int) -> Iterator[int]:
         return iter(self._values[: bisect_right(self._values, limit)])
-
-
-def covers(seq, n: int, k: int = 3) -> list[int] | None:
-    """Smallest-difference witness that k-1 members of seq extend to n.
-
-    Scans d = 1, 2, ... while n - (k-1)*d >= 0 and returns the full
-    ascending witness [n-(k-1)d, ..., n-d], or None when no difference
-    works.  All witness terms are nonnegative and below n.
-    """
-    if k < 3:
-        raise ValueError(f"progression length must be >= 3, got {k}")
-    for d in range(1, n // (k - 1) + 1):
-        if not seq.member(n - d):
-            continue
-        if all(seq.member(n - j * d) for j in range(2, k)):
-            return [n - j * d for j in range(k - 1, 0, -1)]
-    return None
-
-
-def weak_covers(seq, n: int, k: int = 3) -> list[int] | None:
-    """Like covers, but members of seq are exempt from the requirement.
-
-    A member n returns [], since it needs no earlier terms; any other n
-    returns what covers returns.  Both [] and None are falsy: tell them
-    apart with `is None`.
-    """
-    if k < 3:
-        raise ValueError(f"progression length must be >= 3, got {k}")
-    if seq.member(n):
-        return []
-    return covers(seq, n, k)
 
 
 def uncovered_in_range(
     seq, lo: int, hi: int, k: int = 3
 ) -> list[int]:
-    """All n in [lo, hi] that covers() would report as uncovered.
+    """All n in [lo, hi] that no k-AP of smaller members of seq ends at.
 
     Materializes seq up to hi into a membership table once and hands
     it to `uncovered_scan`.

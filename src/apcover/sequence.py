@@ -226,10 +226,7 @@ def iter_range(lo: int, hi: int) -> Iterator[int]:
 
 
 class BlockSequence:
-    """Ordered-sequence interface over A for the generic oracles."""
-
-    def member(self, n: int) -> bool:
-        return member(n)
+    """A as a sequence for the covering checks in oracle: iter_upto alone."""
 
     def iter_upto(self, limit: int) -> Iterator[int]:
         return iter_range(0, limit) if limit >= 0 else iter(())

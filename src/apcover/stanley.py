@@ -284,7 +284,7 @@ def _terms(seed: list[int], k: int) -> Iterator[int]:
     return _extend(seed, k)
 
 
-def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
+def generate(seed: list[int], k: int, count: int) -> list[int]:
     """First `count` terms of the Stanley sequence of order k from seed."""
     seed = list(seed)
     terms = _terms(seed, k)
@@ -295,7 +295,7 @@ def generate(seed: list[int], k: int = 3, count: int = 0) -> list[int]:
     return [*seed, *islice(terms, count - len(seed))]  # one list, extended in place
 
 
-def generate_upto(seed: list[int], k: int = 3, limit: int = 0) -> list[int]:
+def generate_upto(seed: list[int], k: int, limit: int) -> list[int]:
     """All terms <= limit of the Stanley sequence of order k from seed."""
     seed = list(seed)
     terms = _terms(seed, k)

@@ -1,17 +1,14 @@
 """Constructive 3-term-AP witnesses: for any n >= 32 build a, b in A
 with a < b < n and a + n = 2b.
 
-The construction picks the level l with 2*4**l <= n < 8*4**l, splits n
-into its coarse quotient m = n // 4**l (2..7) and low base-4 digits,
-and maps each piece through a fixed pair table.  The tables satisfy
-
-    lead_small + m     == 2 * lead_big      for every m in 2..7
-    digit_small + d    == 2 * digit_big     for every digit d in 0..3
-
-so a + n = 2b holds position by position as an integer identity, with
-no carry analysis needed.  b always lands in T_l; a lands in T_l when
-its lead is 1 and in T_{l-1} when its lead is 0.  `witness_sweep`
-checks the construction for every n in a range.
+The construction picks the level l with 2*4**l <= n < 8*4**l and splits
+n into its coarse quotient m = n // 4**l (2..7) and its l low base-4
+digits d.  b has lead ceil(m/2) and low digits 1 + d // 2, and
+a = 2b - n.  Position by position, a's lead is 2*ceil(m/2) - m, 0 or 1,
+and its low digit 2*(1 + d // 2) - d is 2, 1, 2, 1 for d = 0..3, so no
+position carries.  b always lands in T_l; a lands in T_l when its lead
+is 1 and in T_{l-1} when its lead is 0.  `witness_sweep` checks the
+construction for every n in a range.
 Witness is a named tuple, so it also iterates, indexes and compares
 equal to the plain tuple (a, b, n, level, m).
 """
@@ -21,24 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .sequence import level_of
-
-#: m -> (lead of b, lead of a); the two leads average to m.
-LEAD_PAIRS: dict[int, tuple[int, int]] = {
-    2: (1, 0),
-    3: (2, 1),
-    4: (2, 0),
-    5: (3, 1),
-    6: (3, 0),
-    7: (4, 1),
-}
-
-#: low digit of n -> (low digit of b, low digit of a); averages likewise.
-DIGIT_PAIRS: dict[int, tuple[int, int]] = {
-    0: (1, 2),
-    1: (1, 1),
-    2: (2, 2),
-    3: (2, 1),
-}
 
 MIN_N = 32
 
@@ -61,28 +40,18 @@ def level_for(n: int) -> int:
 
 
 def find_witness(n: int) -> Witness:
-    """Canonical witness for n >= 32, built from the tables.
+    """Canonical witness for n >= 32, in closed form.
 
-    The low digits are mapped all at once: mask_d has a 1 at the bottom
-    of every digit position where n's digit is d, so b's low part is
-    the sum of v_b * mask_d over the four table rows, and a's likewise.
+    `ones` has a 1 at the bottom of each of the level low digit
+    positions, so (n >> 1) & ones holds d // 2 for each low digit d of
+    n, and adding `ones` gives b's low digits 1 + d // 2.
     """
     level = level_for(n)
-    m = n >> (2 * level)
-    rem = n - (m << (2 * level))
-    ones = ((1 << (2 * level)) - 1) // 3
-    low_bit = rem & ones
-    high_bit = (rem >> 1) & ones
-    both = low_bit & high_bit
-    masks = (ones ^ (low_bit | high_bit), low_bit ^ both, high_bit ^ both, both)
-    lead_b, lead_a = LEAD_PAIRS[m]
-    b = lead_b << (2 * level)
-    a = lead_a << (2 * level)
-    for d, mask in enumerate(masks):
-        v_b, v_a = DIGIT_PAIRS[d]
-        b += v_b * mask
-        a += v_a * mask
-    return Witness(a=a, b=b, n=n, level=level, m=m)
+    shift = 2 * level
+    m = n >> shift
+    ones = ((1 << shift) - 1) // 3
+    b = (((m + 1) >> 1) << shift) + ones + ((n >> 1) & ones)
+    return Witness(a=2 * b - n, b=b, n=n, level=level, m=m)
 
 
 def validate(w: Witness) -> bool:
@@ -113,33 +82,27 @@ def witness_sweep(lo: int, hi: int) -> list[int]:
     Equivalent to collecting every n with not validate(find_witness(n)),
     but walks from lo and validates only the first n of each maximal
     aligned block of 4**t consecutive n, t <= level, that it meets.
-    That n certifies its whole block when every DIGIT_PAIRS row
-    (v_b, v_a) has v_b, v_a in {1, 2} and v_a + d == 2 * v_b:
+    That n certifies its whole block:
 
     * level, coarse quotient and the digits of n above position t are
-      fixed, so a and b are fixed high parts plus t low digits that are
-      all 1 or 2; membership and level of a and b follow from the high
-      parts alone, except when t == level and a's lead is 0: then a's
-      high part is 0, and its level low digits, all 1 or 2, put a in
-      T_{level-1};
-    * a + n == 2b holds for every n once it holds for one, by linearity;
-    * per digit, d - v_b and v_a - v_b are smallest at d = 0, so b < n
-      and a < b are tightest at the first n; a is at least its high
-      part plus (4**t - 1) // 3, which is at least 1.
+      fixed, so a and b are fixed high parts plus t low digits: b's
+      digit 1 + d // 2 and a's digit 2*(1 + d // 2) - d, both 1 or 2.
+      Membership and level of a and b follow from the high parts alone,
+      except when t == level and a's lead is 0: then a's high part is
+      0, and its level low digits, all 1 or 2, put a in T_{level-1};
+    * a + n == 2b holds for every n, as a is 2b - n;
+    * per digit, n's less b's (d - v_b) and b's less a's (v_b - v_a,
+      also d - v_b) are -1, 0, 0, 1 for d = 0..3, smallest at d = 0, so
+      b < n and a < b are tightest at the first n; a is at least its
+      high part plus (4**t - 1) // 3, which is at least 1 once t >= 1.
 
     A certified block may run past hi; it holds no failure to miss.  A
     failing n is reported and the walk goes on from n + 1, whose maximal
     aligned blocks are the quarters of the failed block, their quarters
-    and so on.  Any other digit table gets the per-n loop.
+    and so on.
     """
     if lo < MIN_N:
         raise ValueError(f"sweep starts at {MIN_N}, got lo={lo}")
-    if not all(
-        v_b in (1, 2) and v_a in (1, 2) and v_a + d == 2 * v_b
-        for d in range(4)
-        for v_b, v_a in [DIGIT_PAIRS[d]]
-    ):
-        return [n for n in range(lo, hi + 1) if not validate(find_witness(n))]
     failures: list[int] = []
     n = lo
     while n <= hi:

@@ -67,6 +67,43 @@ def all_cover_diffs(member_set: set[int], n: int, k: int = 3) -> list[int]:
     return diffs
 
 
+#: m -> (lead of b, lead of a): the witness construction's lead table;
+#: the two leads average to m.
+LEAD_PAIRS: dict[int, tuple[int, int]] = {
+    2: (1, 0),
+    3: (2, 1),
+    4: (2, 0),
+    5: (3, 1),
+    6: (3, 0),
+    7: (4, 1),
+}
+
+#: low digit of n -> (low digit of b, low digit of a); averages likewise.
+DIGIT_PAIRS: dict[int, tuple[int, int]] = {
+    0: (1, 2),
+    1: (1, 1),
+    2: (2, 2),
+    3: (2, 1),
+}
+
+
+def table_witness(
+    n: int, leads: dict = LEAD_PAIRS, digits: dict = DIGIT_PAIRS
+) -> tuple[int, int, int, int, int]:
+    """(a, b, n, level, m) for n >= 32, one base-4 digit at a time.
+
+    level is the l with 2 * 4**l <= n < 8 * 4**l, m = n // 4**l, and
+    each piece of n goes through its pair table.
+    """
+    d = to_digits(n)
+    level = len(d) - 1 if d[-1] >= 2 else len(d) - 2
+    m = from_digits(d[level:])
+    lead_b, lead_a = leads[m]
+    b = from_digits([digits[x][0] for x in d[:level]] + [lead_b])
+    a = from_digits([digits[x][1] for x in d[:level]] + [lead_a])
+    return a, b, n, level, m
+
+
 def argmax_full_scan(values: list[int], n_max: int) -> int:
     """argmax of count(n)**2 / n over ALL n in [1, n_max], first on ties.
 
@@ -138,14 +175,6 @@ def contains_k_ap(values: list[int], k: int) -> bool:
             d = y - x
             if all(x + j * d in present for j in range(2, k)):
                 return True
-    return False
-
-
-def ap_completes_at(member_set: set[int], s: int, k: int = 3) -> bool:
-    """True iff s extends k-1 members (all below s) to a k-term AP."""
-    for d in range(1, s // (k - 1) + 1):
-        if all(s - j * d in member_set for j in range(1, k)):
-            return True
     return False
 
 

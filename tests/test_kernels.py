@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import brute
 from apcover import oracle, stanley, witness
-from apcover.witness import find_witness, validate
+from apcover.witness import Witness, find_witness, validate
 
 
 def test_pure_sweep_clean_small():
@@ -18,8 +18,8 @@ def test_pure_sweep_rejects_low_start():
         witness.witness_sweep(1, 100)
 
 
-def _per_n(lo, hi):
-    return [n for n in range(lo, hi + 1) if not validate(find_witness(n))]
+def _per_n(lo, hi, witness_of=find_witness):
+    return [n for n in range(lo, hi + 1) if not validate(witness_of(n))]
 
 
 WINDOWS = {
@@ -46,35 +46,22 @@ def test_sweep_matches_per_n_loop_random_windows(lo, width):
     assert witness.witness_sweep(lo, lo + width) == _per_n(lo, lo + width)
 
 
-@pytest.mark.parametrize(
-    "digit_row, lead_row",
-    [
-        # a + n = 2b still holds, but a gets the non-member digit 3;
-        # a + n = 2b fails for every n with m = 5
-        ((1, (2, 3)), (5, (3, 2))),
-        # a drops to level l-2 when n's digit l-1 is 2 and the rest
-        # avoid 2; b lands in level l+1 for m = 6
-        ((2, (1, 0)), (6, (5, 4))),
-    ],
-)
-def test_sweep_catches_broken_pair_table(monkeypatch, digit_row, lead_row):
-    monkeypatch.setitem(witness.DIGIT_PAIRS, *digit_row)
-    monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
-    for lo, hi in [(32, 20_000), (2**63, 2**63 + 3_000)]:
-        failures = witness.witness_sweep(lo, hi)
-        assert failures
-        assert failures == _per_n(lo, hi)
-
-
 @pytest.mark.parametrize("lead_row", [(4, (4, 4)), (2, (2, 2)), (5, (3, 2))])
 def test_certified_blocks_match_per_n_loop_under_patched_leads(monkeypatch, lead_row):
-    # the digit table stays canonical, so blocks are still certified by
-    # their first n; under (4, (4, 4)) b < n and a < b hold for some n
-    # with m = 4 and fail for others, so a failing first n must not
-    # decide the rest of its block
-    monkeypatch.setitem(witness.LEAD_PAIRS, *lead_row)
+    # the sweep builds its witnesses from the tables with one lead row
+    # broken; the digit rows stay the construction's, so blocks are
+    # still certified by their first n.  Under (4, (4, 4)) b < n and
+    # a < b hold for some n with m = 4 and fail for others, so a failing
+    # first n must not decide the rest of its block; under (5, (3, 2))
+    # a + n = 2b fails for every n with m = 5
+    leads = {**brute.LEAD_PAIRS, lead_row[0]: lead_row[1]}
+
+    def patched(n):
+        return Witness(*brute.table_witness(n, leads=leads))
+
+    monkeypatch.setattr(witness, "find_witness", patched)
     windows = [(32, 40_000), (2**63, 2**63 + 30_000), (4**11 - 7_000, 4**11 + 70_000)]
-    results = [(witness.witness_sweep(lo, hi), _per_n(lo, hi)) for lo, hi in windows]
+    results = [(witness.witness_sweep(lo, hi), _per_n(lo, hi, patched)) for lo, hi in windows]
     assert any(expected for _, expected in results)
     for got, expected in results:
         assert got == expected

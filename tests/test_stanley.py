@@ -47,7 +47,7 @@ def test_greedy_minimality_first_200_terms():
     prefix = set(terms[:2])
     for i in range(2, len(terms)):
         for skipped in range(terms[i - 1] + 1, terms[i]):
-            assert brute.ap_completes_at(prefix, skipped, 3), skipped
+            assert brute.all_cover_diffs(prefix, skipped, 3), skipped
         prefix.add(terms[i])
 
 

@@ -6,25 +6,18 @@ from hypothesis import strategies as st
 
 import brute
 from apcover.sequence import decompose
-from apcover.witness import (
-    DIGIT_PAIRS,
-    LEAD_PAIRS,
-    Witness,
-    find_witness,
-    level_for,
-    validate,
-)
+from apcover.witness import Witness, find_witness, level_for, validate
 
 
 def test_table_identities():
     # the averaging identities that make a + n = 2b hold digit by digit
-    assert sorted(LEAD_PAIRS) == [2, 3, 4, 5, 6, 7]
-    for m, (lead_b, lead_a) in LEAD_PAIRS.items():
+    assert sorted(brute.LEAD_PAIRS) == [2, 3, 4, 5, 6, 7]
+    for m, (lead_b, lead_a) in brute.LEAD_PAIRS.items():
         assert lead_a + m == 2 * lead_b
         assert 1 <= lead_b <= 4
         assert 0 <= lead_a <= 4
-    assert sorted(DIGIT_PAIRS) == [0, 1, 2, 3]
-    for d, (v_b, v_a) in DIGIT_PAIRS.items():
+    assert sorted(brute.DIGIT_PAIRS) == [0, 1, 2, 3]
+    for d, (v_b, v_a) in brute.DIGIT_PAIRS.items():
         assert v_a + d == 2 * v_b
         assert v_b in (1, 2) and v_a in (1, 2)
 
@@ -117,16 +110,15 @@ def test_huge_witness():
     assert w.a + w.n == 2 * w.b
 
 
-def digitwise_witness(n):
-    """(a, b) built one base-4 digit at a time from the pair tables."""
-    level = level_for(n)
-    digits = brute.to_digits(n)
-    lead_b, lead_a = LEAD_PAIRS[n >> (2 * level)]
-    b, a = lead_b << (2 * level), lead_a << (2 * level)
-    for i, d in enumerate(digits[:level]):
-        b += DIGIT_PAIRS[d][0] << (2 * i)
-        a += DIGIT_PAIRS[d][1] << (2 * i)
-    return a, b
+def test_find_witness_matches_tables_exhaustive():
+    for n in range(32, 10**5 + 1):
+        assert find_witness(n) == brute.table_witness(n), n
+
+
+@given(st.integers(32, 4**600))
+@settings(max_examples=300, deadline=None)
+def test_find_witness_matches_tables(n):
+    assert find_witness(n) == brute.table_witness(n)
 
 
 @given(st.integers(100, 1000).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e - 1)))
@@ -135,4 +127,4 @@ def test_witness_valid_for_huge_n(n):
     # n of 100..1000 decimal digits
     w = find_witness(n)
     assert validate(w)
-    assert (w.a, w.b) == digitwise_witness(n)
+    assert w == brute.table_witness(n)
