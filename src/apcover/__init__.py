@@ -10,7 +10,8 @@ members while staying below 4 everywhere.
 Modules: sequence (membership / counting / ranking / decomposition),
 witness (constructive 3-AP witnesses in closed form and the sweep
 that checks them over a range), oracle (the bitset covering scan over
-any integer sequence and the k-AP filter on explicit lists), stanley
+any integer sequence, the covering automaton of a digit-regular set
+and the k-AP filter on explicit lists), stanley
 (greedy AP-free generator), density (exact ratio analysis), cli
 (command line).
 """

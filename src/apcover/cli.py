@@ -14,27 +14,30 @@ import os
 import sys
 
 from . import density, oracle, stanley
-from .sequence import BLOCK_SEQUENCE, count_leq, decompose, element_at
+from .sequence import BLOCK_DFA, count_leq, decompose, element_at
 from .witness import MIN_N, find_witness, validate, witness_sweep
 
 #: Ceiling on min-n0 and explore-problem1 --upto; larger values are
-#: rejected before anything is allocated.  The scan holds a membership
-#: table of upto + 1 bytes (10 MB at the ceiling) and makes one pass per
-#: member t, at any order, on ints about t bits long.  min-n0 scans A,
-#: one shift per member: at the ceiling one process takes 2.3-3.2 s at
-#: 35 MB peak RSS.  explore-problem1 first generates a Stanley sequence
-#: of order K + 1.  At a prime order up to 7 from seed 0,1 that is a
-#: closed form, whose uncovered n come from a digit automaton instead of
-#: the scan, and generating the terms takes most of the time: --order 4
-#: takes 0.11-0.15 s at 10^6 (30 MB) and 0.34-0.46 s at the ceiling
-#: (107 MB); the scan took 9.5 s at 10^6 and grows with the square of upto.
-#: Other seeds and composite orders K + 1 take the bitset sieve, whose
-#: time grows with the term count times upto, as the scan's does:
-#: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
-#: 10^6 (21 MB), about half of it generation.  Time grows with K too, as
-#: each pass loops once per j below about K: at 2 * 10^5 from seed 0,
-#: --order 50 takes 23 s (40 MB) and --order 200 66 s (47 MB).  Each
-#: figure is a whole CLI process on a 2-core x86-64 host.
+#: rejected before anything is allocated.  min-n0 reads A's uncovered n
+#: off its base-4 digit automaton at k = 3 (80 states, built in under
+#: 1 ms on first use), whose walk visits only the digit prefixes of 0, 1
+#: and 2: one process takes 0.06-0.10 s at 10^5, at 10^6 and at the
+#: ceiling alike, at 15 MB peak RSS, nearly all of it interpreter
+#: start-up.  explore-problem1 at a prime order K + 1 up to 7, from a
+#: start of the sequence from 0, takes the closed form's automaton the
+#: same way and counts the terms off upto's digits: --order 4 from 0,1
+#: takes 0.06-0.10 s at 10^6 and at the ceiling (15 MB).  Every other
+#: seed and order generates its terms and scans them.  The scan holds a
+#: membership table of upto + 1 bytes and makes one pass per member t on
+#: ints about t bits long, so on these dense sets its time grows with
+#: the square of upto (the k = 4 scan of the order-5 set took 9.5 s at
+#: 10^6).  Seeds off the closed form and composite orders K + 1 generate
+#: by the bitset sieve, whose time grows with the term count times upto
+#: too: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and
+#: 2.4-2.8 s at 10^6 (21 MB), about half of it generation.  Time grows
+#: with K too, as each pass loops once per j below about K: at 2 * 10^5
+#: from seed 0, --order 50 takes 23 s (40 MB) and --order 200 66 s
+#: (47 MB).  Each figure is a whole CLI process on a 2-core x86-64 host.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
@@ -152,8 +155,9 @@ def _cmd_min_n0(args) -> int:
     if args.upto < 1:
         raise _Usage("--upto must be >= 1")
     _at_most("--upto", args.upto, MAX_UPTO)
-    threshold = oracle.min_threshold(BLOCK_SEQUENCE, 3, args.upto)
-    print(f"n0={'none' if threshold is None else threshold} scanned_to={args.upto}")
+    # 0 ends no AP, so the list is never empty
+    uncovered = oracle.digit_automaton(BLOCK_DFA, 4, 3).uncovered(args.upto)
+    print(f"n0={uncovered[-1]} scanned_to={args.upto}")
     return 0
 
 
@@ -209,11 +213,11 @@ def _cmd_explore(args) -> int:
     _at_most("--upto", args.upto, MAX_UPTO)
     order = args.order + 1
     try:
-        terms, uncovered = stanley.explore(args.seed, args.order, args.upto)
+        count, last, uncovered = stanley.explore(args.seed, args.order, args.upto)
     except ValueError as err:
         raise _Usage(str(err))
     print(
-        f"stanley_order={order} terms={len(terms)} max_term={terms[-1]} "
+        f"stanley_order={order} terms={count} max_term={last} "
         f"scanned_to={args.upto} uncovered={len(uncovered)}"
     )
     if uncovered:
@@ -274,7 +278,7 @@ _COMMANDS = {
     ),
     "min-n0": (
         _cmd_min_n0,
-        "largest n <= bound with no 3-AP witness in A (brute force)",
+        "largest n <= bound with no 3-AP witness in A (digit automaton)",
         _upto_arg(MAX_UPTO),
     ),
     "stanley": (_cmd_stanley, "greedy Stanley sequence terms", _stanley_args),

@@ -7,6 +7,13 @@ some d >= 1 puts n - (k-1)*d, ..., n - d all in the sequence.  Range
 questions go through `uncovered_scan`, which covers every n at once
 with one `covering_pass` per member; `covering_pass` says how.
 
+A set read by a finite automaton over its base-b digits, such as A in
+base 4 or the Stanley closed forms in base p, also has one: whether n
+is covered then depends only on n's digits, and `digit_automaton`
+builds the DFA that reads them, from the set's own DFA.  Its walk,
+`CoveringAutomaton.uncovered`, lists the uncovered n without touching
+the covered ones, so its cost follows their count, not the bound.
+
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
 asks it of every term against those before it and `greedy_next` of
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from functools import cache
 
 
 class FiniteSet:
@@ -180,6 +188,134 @@ def min_threshold(seq, k: int, scan_to: int) -> int | None:
         raise ValueError(f"scan_to must be >= 1, got {scan_to}")
     uncovered = uncovered_in_range(seq, 0, scan_to, k)
     return uncovered[-1] if uncovered else None
+
+
+class CoveringAutomaton:
+    """A DFA over n's base digits, low first, that reads whether n is covered.
+
+    State 0 is the start, reading digit c moves from s to delta[s][c],
+    and covered[s] says whether n is covered when its digits, padded
+    with any number of high zeros, end in s.  `uncovered` walks it.
+    """
+
+    def __init__(self, base: int, delta: list[list[int]], covered: list[bool]) -> None:
+        self.base = base
+        self.delta = delta
+        self.covered = covered
+        # live[r][s]: some r more digits lead from s to a state that is
+        # not covered; rows are added as walks need more digits
+        self._live = [[not c for c in covered]]
+
+    def uncovered(self, upto: int) -> list[int]:
+        """Each n <= upto that is not covered, ascending.
+
+        Walks the digits of every n < base^L, L the digit count of upto,
+        and tries a digit only where `live` says an uncovered state is
+        still ahead, so the walk visits only low-digit prefixes of
+        uncovered n: about their count times L times base steps,
+        whatever upto is.
+        """
+        base = self.base
+        digits = 1
+        while base**digits <= upto:
+            digits += 1
+        live = self._live
+        while len(live) < digits:
+            ahead = live[-1]
+            live.append([any(ahead[t] for t in row) for row in self.delta])
+        uncovered = []
+        stack = [(0, digits, 0, 1)]  # (state, digits left, low digits read, base^read)
+        while stack:
+            s, left, n, weight = stack.pop()
+            if not left:
+                if n <= upto:
+                    uncovered.append(n)
+                continue
+            ahead = live[left - 1]
+            for c, t in enumerate(self.delta[s]):
+                if ahead[t]:
+                    stack.append((t, left - 1, n + c * weight, weight * base))
+        return sorted(uncovered)
+
+
+@cache
+def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
+    """The automaton that reads whether n ends a k-AP of smaller members of S.
+
+    `dfa` = (step, accept) reads S's members by their base digits, low
+    first: state 0 is the start, step[s][c] is the state after digit c
+    (None: no member continues so), and accept[s] says whether s
+    accepts.  It must give a digit string and the string followed by
+    any zeros the same verdict, as padding a number with high zeros
+    leaves it unchanged.
+
+    n is covered when some d >= 1 puts n - j*d in S for j = 1 .. k-1.
+    Subtract j*d from n one digit at a time: digit i of the difference
+    is v mod base for v = n_i - j*d_i - b_j, and -(v // base) is the
+    next borrow b_j.  From b_j in [0, j], v >= -j*base, so b_j stays in
+    [0, j].  After L digits, with n and d below base^L, the borrow is 0
+    iff n - j*d >= 0, and then the digits written are those of n - j*d
+    padded to L digits, which S's DFA accepts iff n - j*d is in S.  So
+    an NFA that guesses d's digit at each position, keeps per j the
+    borrow and S's state on the digits written, and a flag for d != 0,
+    and drops a guess that S's DFA cannot read, has a run ending with
+    every borrow 0, every S state accepting and the flag set iff n is
+    covered.  Reading more high zeros of n changes nothing: a d <= n has
+    none of its digits up there, the digits written are zeros, which
+    keep S's verdict, and a d > n leaves a borrow.
+
+    Only the NFA states reached from the start are built, each numbered
+    by one bit, and the result is the subset construction over them.
+    Built on first use of each (dfa, base, k) and kept, with the walk's
+    `live` rows, for the life of the process.
+    """
+    step, accept = dfa
+    js = range(1, k)
+    start = (((0, 0),) * len(js), False)  # ((b_j, S state) per j, d != 0)
+    nfa = [start]
+    number = {start: 0}
+    moves = []  # moves[i][c]: the NFA states i reaches on digit c, as a bitmask
+    for per_j, nonzero in nfa:  # grows as new states turn up
+        row = []
+        for c in range(base):
+            reached = 0
+            for e in range(base):  # d's digit
+                moved = []
+                for j, (borrow, s) in zip(js, per_j):
+                    q, digit = divmod(c - j * e - borrow, base)
+                    s = step[s][digit]
+                    if s is None:
+                        break
+                    moved.append((-q, s))
+                else:
+                    state = (tuple(moved), nonzero or e > 0)
+                    if state not in number:
+                        number[state] = len(nfa)
+                        nfa.append(state)
+                    reached |= 1 << number[state]
+            row.append(reached)
+        moves.append(row)
+    accepting = sum(
+        1 << i
+        for i, (per_j, nonzero) in enumerate(nfa)
+        if nonzero and all(not borrow and accept[s] for borrow, s in per_j)
+    )
+    subsets = [1]
+    ids = {1: 0}
+    delta = []
+    for subset in subsets:  # grows as new subsets turn up
+        held = [moves[i] for i, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
+        row = []
+        for c in range(base):
+            reached = 0
+            for move in held:
+                reached |= move[c]
+            if reached not in ids:
+                ids[reached] = len(subsets)
+                subsets.append(reached)
+            row.append(ids[reached])
+        delta.append(row)
+    return CoveringAutomaton(base, delta, [bool(s & accepting) for s in subsets])
 
 
 def ap_tails(t: int, earlier: list[int], present, m: int) -> list[int]:

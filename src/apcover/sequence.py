@@ -233,3 +233,16 @@ class BlockSequence:
 
 
 BLOCK_SEQUENCE = BlockSequence()
+
+#: A's members by their base-4 digits, low first, as a DFA (step,
+#: accept) for `oracle.digit_automaton`.  Read high first a member is
+#: ([123] | 10)[12]*, the lead and then the low digits, so read low
+#: first and padded with high zeros it is [12]*([123] | 01)0*.  States:
+#: 0 start; 1 after [12]+, which may have been the lead; 2 the lead
+#: read, only zeros left; 3 a first digit 0, which only lead 4 (01)
+#: follows; 4 a 0 after [12]+, ending the member or starting lead 4.
+BLOCK_DFA = (
+    ((3, 1, 1, 2), (4, 1, 1, 2), (2, None, None, None), (None, 2, None, None),
+     (2, 2, None, None)),
+    (False, True, True, False, True),
+)

@@ -17,15 +17,16 @@ floor come from one filter, `oracle.ap_tails`.
 
 `explore` asks the paper's Problem 1 of a sequence of order k + 1: which
 n up to a bound end no k-AP of its terms.  For the closed form at an
-order up to AUTOMATON_MAX_ORDER that depends only on n's base-p digits,
-and `_uncovered_no_top_digit` lists those n from a digit automaton;
-every other set goes through the scan, `oracle.uncovered_in_range`.
+order up to AUTOMATON_MAX_ORDER that depends only on n's base-p digits:
+`_no_top_digit_dfa` hands the closed form to `oracle.digit_automaton`,
+whose walk lists those n, and the terms are counted off the bound's
+digits, never listed.  Every other set goes through the scan,
+`oracle.uncovered_in_range`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cache
 from itertools import islice, takewhile
 from math import inf, isqrt
 
@@ -155,100 +156,35 @@ def _no_top_digit(p: int) -> Iterator[int]:
         step *= p
 
 
-@cache
-def _digit_automaton(p: int) -> tuple[list[list[int]], list[bool]]:
-    """The DFA over base-p digits, low first, that reads whether n is covered.
+def _no_top_digit_dfa(p: int) -> tuple:
+    """`_no_top_digit`'s set as a base-p DFA for `oracle.digit_automaton`.
 
-    n is covered when some d >= 1 puts n - j*d, j = 1 .. p - 2, in the
-    closed form S of `_no_top_digit`, i.e. free of the digit p - 1.
-    Subtract j*d from n one digit at a time: digit i of the difference is
-    v mod p for v = n_i - j*d_i - b_j, and -(v // p) is the next borrow
-    b_j.  From b_j in [0, j], v >= -j*p, so b_j stays in [0, j].  After
-    L digits, with n and d below p^L, the borrow is 0 iff n - j*d >= 0,
-    and then the digits written are those of n - j*d.  So an NFA that
-    guesses d's digit at each position, keeps one borrow per j and a
-    flag for d != 0, and drops a guess that writes the digit p - 1, has
-    a run ending at (0, ..., 0, nonzero) iff n is covered.  Padding n
-    with zero digits changes nothing: a d <= n has none of its digits up
-    there, and a d > n leaves a borrow.
-
-    Of the 2 (p - 1)! NFA states only those reached from the start are
-    built (9 at p = 5, 25 at p = 7), each numbered by one bit.  Returns
-    (delta, covered) of the subset construction over them: state 0 is
-    the start, reading digit c moves from s to delta[s][c], and
-    covered[s] says whether s holds the accepting NFA state.  Built on
-    first use of each p.
+    One state, which reads every digit but p - 1 and accepts.
     """
-    js = range(1, p - 1)
-    zero = (0,) * len(js)
-    nfa = [(*zero, False)]
-    number = {nfa[0]: 0}
-    steps = []  # steps[i][c]: the NFA states i reaches on digit c, as a bitmask
-    for *borrows, nonzero in nfa:  # grows as new states turn up
-        row = []
-        for c in range(p):
-            reached = 0
-            for e in range(p):  # d's digit
-                moved = [divmod(c - j * e - b, p) for j, b in zip(js, borrows)]
-                if all(digit != p - 1 for _, digit in moved):
-                    state = (*(-q for q, _ in moved), nonzero or e > 0)
-                    if state not in number:
-                        number[state] = len(nfa)
-                        nfa.append(state)
-                    reached |= 1 << number[state]
-            row.append(reached)
-        steps.append(row)
-    accept = 1 << number[(*zero, True)]
-    subsets = [1]
-    ids = {1: 0}
-    delta = []
-    for subset in subsets:  # grows as new subsets turn up
-        held = [steps[i] for i, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
-        row = []
-        for c in range(p):
-            reached = 0
-            for step in held:
-                reached |= step[c]
-            if reached not in ids:
-                ids[reached] = len(subsets)
-                subsets.append(reached)
-            row.append(ids[reached])
-        delta.append(row)
-    return delta, [bool(s & accept) for s in subsets]
+    return ((0,) * (p - 1) + (None,),), (True,)
 
 
-def _uncovered_no_top_digit(p: int, upto: int) -> list[int]:
-    """Each n <= upto with no (p-1)-AP witness in the closed form, ascending.
+def _count_no_top_digit(p: int, upto: int) -> tuple[int, int]:
+    """How many n <= upto have no base-p digit p - 1, and the largest.
 
-    Walks n's base-p digits, low first, through `_digit_automaton(p)`
-    for every n < p^L, L the digit count of upto.  live[r][s] says
-    whether some r more digits lead from s to a state that is not
-    covered, and a digit is tried only where it is, so the walk visits
-    only low-digit prefixes of uncovered n: about their count times L
-    times p steps, whatever upto is.  A witness of n <= upto has every
-    term below n, so the closed form's terms above upto change nothing.
+    One pass over upto's digits, high first.  A digit c at position i
+    admits c smaller digits there, none of them p - 1, each with
+    (p - 1)^i choices below.  At the first digit p - 1 nothing more
+    keeps upto's prefix, and the largest n takes p - 2 there and at
+    every lower digit; with no such digit upto itself counts.
     """
-    delta, covered = _digit_automaton(p)
-    digits = 1
-    while p**digits <= upto:
-        digits += 1
-    live = [[not c for c in covered]]
-    for _ in range(digits - 1):
-        ahead = live[-1]
-        live.append([any(ahead[t] for t in row) for row in delta])
-    uncovered = []
-    stack = [(0, digits, 0, 1)]  # (state, digits left, low digits read, p^read)
-    while stack:
-        s, left, n, weight = stack.pop()
-        if not left:
-            if n <= upto:
-                uncovered.append(n)
-            continue
-        ahead = live[left - 1]
-        for c, t in enumerate(delta[s]):
-            if ahead[t]:
-                stack.append((t, left - 1, n + c * weight, weight * p))
-    return sorted(uncovered)
+    digits = []
+    while upto:
+        upto, c = divmod(upto, p)
+        digits.append(c)
+    count = last = 0
+    for i in reversed(range(len(digits))):
+        c = digits[i]
+        count += c * (p - 1) ** i
+        if c == p - 1:
+            return count, (last * p + p - 2) * p**i + (p - 2) * (p**i - 1) // (p - 1)
+        last = last * p + c
+    return count + 1, last
 
 
 def _is_prime(k: int) -> bool:
@@ -295,28 +231,42 @@ def generate(seed: list[int], k: int, count: int) -> list[int]:
     return [*seed, *islice(terms, count - len(seed))]  # one list, extended in place
 
 
-def generate_upto(seed: list[int], k: int, limit: int) -> list[int]:
-    """All terms <= limit of the Stanley sequence of order k from seed."""
-    seed = list(seed)
+def _terms_upto(seed: list[int], k: int, limit: int) -> Iterator[int]:
+    """The terms <= limit after a seed list.
+
+    Raises ValueError for a bad seed, as `_terms` does, then for a seed
+    that ends above limit.
+    """
     terms = _terms(seed, k)
     if seed[-1] > limit:
         raise ValueError(f"seed already exceeds limit {limit}")
-    return [*seed, *takewhile(lambda t: t <= limit, terms)]
+    return takewhile(lambda t: t <= limit, terms)
 
 
-def explore(seed: list[int], k: int, upto: int) -> tuple[list[int], list[int]]:
+def generate_upto(seed: list[int], k: int, limit: int) -> list[int]:
+    """All terms <= limit of the Stanley sequence of order k from seed."""
+    seed = list(seed)
+    return [*seed, *_terms_upto(seed, k, limit)]
+
+
+def explore(seed: list[int], k: int, upto: int) -> tuple[int, int, list[int]]:
     """Problem 1 up to upto: does the order-(k+1) sequence cover AP_k?
 
-    Returns the terms <= upto of the Stanley sequence of order k + 1
-    from seed, and each n <= upto that no k-AP of them ends at.  When
-    the terms are the closed form at an order up to
-    AUTOMATON_MAX_ORDER, the uncovered n come from its digit automaton
-    (`_uncovered_no_top_digit`); any other set goes through
-    `oracle.uncovered_in_range`.
+    Returns how many terms <= upto the Stanley sequence of order k + 1
+    from seed has, the largest of them, and each n <= upto that no k-AP
+    of them ends at.  The seed is checked first, as `generate_upto`
+    checks it.  When the terms are the closed form at an order up to
+    AUTOMATON_MAX_ORDER, no term is generated: their count and largest
+    come from upto's digits (`_count_no_top_digit`) and the uncovered n
+    from the closed form's digit automaton.  Any other set is generated
+    and goes through `oracle.uncovered_in_range`.
     """
     seed = list(seed)
-    terms = generate_upto(seed, k + 1, upto)
+    rest = _terms_upto(seed, k + 1, upto)
     # a k below 3 goes to the scan, which rejects it
     if 3 <= k < AUTOMATON_MAX_ORDER and _starts_closed_form(seed, k + 1):
-        return terms, _uncovered_no_top_digit(k + 1, upto)
-    return terms, oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, k)
+        automaton = oracle.digit_automaton(_no_top_digit_dfa(k + 1), k + 1, k)
+        return (*_count_no_top_digit(k + 1, upto), automaton.uncovered(upto))
+    terms = [*seed, *rest]
+    uncovered = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, k)
+    return len(terms), terms[-1], uncovered

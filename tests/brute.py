@@ -67,6 +67,17 @@ def all_cover_diffs(member_set: set[int], n: int, k: int = 3) -> list[int]:
     return diffs
 
 
+def covered_at(member_set: set[int], n: int, k: int = 3) -> bool:
+    """Some difference d gives a full k-AP witness ending at n.
+
+    `all_cover_diffs` is non-empty, stopping at the first such d.
+    """
+    return any(
+        all(n - j * d in member_set for j in range(1, k))
+        for d in range(1, n // (k - 1) + 1)
+    )
+
+
 #: m -> (lead of b, lead of a): the witness construction's lead table;
 #: the two leads average to m.
 LEAD_PAIRS: dict[int, tuple[int, int]] = {

@@ -11,10 +11,13 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import apcover
 import brute
 from apcover import _kernels, cli, oracle, witness
+from apcover.sequence import BLOCK_SEQUENCE
 from apcover.stanley import generate, generate_upto, greedy_next
 
 
@@ -114,10 +117,27 @@ def test_min_n0(capsys):
 
 
 def test_min_n0_frozen_at_10_6(capsys):
-    # one shift per member of A, about 3600 passes: a fraction of a second
     code, out, _ = run(capsys, "min-n0", "--upto", "1000000")
     assert code == 0
     assert out == "n0=2 scanned_to=1000000\n"
+
+
+def _min_n0_by_scan(upto):
+    """min-n0's stdout, its threshold found by the covering scan over A."""
+    return f"n0={oracle.min_threshold(BLOCK_SEQUENCE, 3, upto)} scanned_to={upto}\n"
+
+
+def test_min_n0_matches_scan_to_2000(capsys):
+    for upto in range(1, 2001):
+        assert run(capsys, "min-n0", "--upto", str(upto)) == (0, _min_n0_by_scan(upto), "")
+
+
+# run() reads capsys empty after each call, so one capsys serves every example
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2001, 10**5))
+def test_min_n0_matches_scan(capsys, upto):
+    assert run(capsys, "min-n0", "--upto", str(upto)) == (0, _min_n0_by_scan(upto), "")
 
 
 def _refuse_to_run(*args, **kwargs):
@@ -126,7 +146,7 @@ def _refuse_to_run(*args, **kwargs):
 
 @pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
 def test_min_n0_upto_too_large(capsys, monkeypatch, upto):
-    monkeypatch.setattr(cli.oracle, "min_threshold", _refuse_to_run)
+    monkeypatch.setattr(cli.oracle, "digit_automaton", _refuse_to_run)
     code, out, err = run(capsys, "min-n0", "--upto", str(upto))
     assert code == 2 and out == ""
     assert err == f"--upto must be at most {cli.MAX_UPTO}\n"
@@ -134,7 +154,7 @@ def test_min_n0_upto_too_large(capsys, monkeypatch, upto):
 
 @pytest.mark.parametrize("upto", [cli.MAX_UPTO + 1, 10**30])
 def test_explore_problem1_upto_too_large(capsys, monkeypatch, upto):
-    monkeypatch.setattr(cli.stanley, "generate_upto", _refuse_to_run)
+    monkeypatch.setattr(cli.stanley, "explore", _refuse_to_run)
     code, out, err = run(
         capsys, "explore-problem1", "--order", "3", "--seed", "0,1", "--upto", str(upto)
     )
@@ -145,7 +165,7 @@ def test_explore_problem1_upto_too_large(capsys, monkeypatch, upto):
 @pytest.mark.parametrize("upto", [-1, -5, -(10**30)])
 def test_explore_problem1_negative_upto(capsys, monkeypatch, upto):
     # the bound is at fault, not the seed
-    monkeypatch.setattr(cli.stanley, "generate_upto", _refuse_to_run)
+    monkeypatch.setattr(cli.stanley, "explore", _refuse_to_run)
     code, out, err = run(
         capsys, "explore-problem1", "--order", "3", "--seed", "0,1", "--upto", str(upto)
     )
@@ -156,7 +176,7 @@ def test_explore_problem1_negative_upto(capsys, monkeypatch, upto):
 @pytest.mark.parametrize(
     "argv, work, message",
     [
-        (["min-n0", "--upto", "0"], (cli.oracle, "min_threshold"), "--upto must be >= 1"),
+        (["min-n0", "--upto", "0"], (cli.oracle, "digit_automaton"), "--upto must be >= 1"),
         (["argmax", "--upto", "0"], (cli.density, "_search"), "--upto must be >= 1"),
         (
             ["density", "--max-level", "-1"],
@@ -638,11 +658,15 @@ def test_explore_problem1_frozen(capsys, order, upto, expected):
 
 def test_explore_problem1_order4_at_ceiling(capsys, alarm):
     # the closed form's digit automaton, not the scan: the scan's time
-    # grows with the square of upto and would take about 17 minutes here
+    # grows with the square of upto and would take about 17 minutes here;
+    # and the 1 097 729 terms are counted, not listed
+    tracemalloc.start()
     code, out, _ = run(
         capsys, "explore-problem1", "--order", "4", "--seed", "0,1", "--upto", "10000000"
     )
-    assert code == 0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0 and peak < 2**20, peak
     first, second = out.splitlines()
     uncovered = second.split()[1:]
     assert first == (
@@ -698,11 +722,12 @@ def test_explore_problem1_other_sets_take_the_scan(capsys, monkeypatch, order, s
 
 
 def test_import_builds_no_digit_automaton():
-    # the automaton is built on the first call that needs it, so a
-    # process that never explores a closed form pays nothing for it
+    # each automaton, A's for min-n0 and the closed forms' for
+    # explore-problem1, is built on the first call that needs it, so a
+    # process that never runs either command pays nothing for them
     code = (
         "import apcover.cli; "
-        "print(apcover.cli.stanley._digit_automaton.cache_info().currsize)"
+        "print(apcover.cli.oracle.digit_automaton.cache_info().currsize)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],

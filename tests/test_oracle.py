@@ -11,7 +11,8 @@ from apcover.oracle import (
     min_threshold,
     uncovered_in_range,
 )
-from apcover.sequence import BLOCK_SEQUENCE
+from apcover.sequence import BLOCK_DFA, BLOCK_SEQUENCE
+from apcover.stanley import _no_top_digit_dfa
 from apcover.witness import Witness, find_witness
 from apcover.witness import validate as wvalidate
 
@@ -116,6 +117,12 @@ def test_ap_tails_matches_brute(values, above, k):
     assert tails == [c - d for d in reversed(diffs)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 60), max_size=12), st.integers(0, 80), st.sampled_from([3, 4, 5]))
+def test_brute_covered_at_matches_all_cover_diffs(values, n, k):
+    assert brute.covered_at(values, n, k) == bool(brute.all_cover_diffs(values, n, k))
+
+
 @pytest.mark.parametrize(
     "lo, hi, k, message",
     [
@@ -140,3 +147,92 @@ def test_finite_set_validation():
     with pytest.raises(ValueError):
         FiniteSet([-1, 2])
     assert list(FiniteSet([0, 4, 9]).iter_upto(4)) == [0, 4]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_digit_automaton_matches_brute(brute_set_10k, k):
+    expected = [n for n in range(401) if not brute.all_cover_diffs(brute_set_10k, n, k)]
+    assert oracle.digit_automaton(BLOCK_DFA, 4, k).uncovered(400) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(0, 2 * 10**4))
+def test_digit_automaton_matches_scan(k, upto):
+    # the cached automaton's live rows grow and are reused across calls
+    # of every size, in hypothesis's order
+    expected = uncovered_in_range(BLOCK_SEQUENCE, 0, upto, k)
+    assert oracle.digit_automaton(BLOCK_DFA, 4, k).uncovered(upto) == expected
+
+
+def _reached(delta, sources):
+    """Every state some digit string leads to from a state in sources."""
+    seen = set(sources)
+    todo = list(seen)
+    while todo:
+        for t in delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def test_block_set_uncovered_set_is_0_1_2():
+    """A's uncovered set at k = 3 is exactly {0, 1, 2}, for every n.
+
+    By `digit_automaton`'s proof, n is uncovered iff its base-4 digits,
+    low first and padded with any number of high zeros, end in a state
+    that is not covered.  Pair the automaton with the sign of
+    (n mod 4^i) - (2 mod 4^i) after i digits: a digit that differs from
+    2's digit at its place sets the sign, as it outweighs every lower
+    place, and an equal digit keeps it.  After at least one digit, 2's
+    digit count, the sign is that of n - 2 for the number n the string
+    spells, and every n > 2 is spelled by some string.  So an uncovered
+    n > 2 exists iff some reached pair, one digit or more in, has sign
+    +1 and an uncovered state.  The search visits every reached pair
+    and finds none.
+    """
+    automaton = oracle.digit_automaton(BLOCK_DFA, 4, 3)
+    start = (0, 0, 0)  # (state, digits read capped at 1, sign)
+    seen = {start}
+    todo = [start]
+    while todo:
+        s, read, sign = todo.pop()
+        c = 0 if read else 2  # 2's digit at this place
+        for x, t in enumerate(automaton.delta[s]):
+            pair = (t, 1, (x > c) - (x < c) or sign)
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    assert not [s for s, read, sign in seen if read and sign > 0 and not automaton.covered[s]]
+    assert automaton.uncovered(2) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "dfa, base, k",
+    [(BLOCK_DFA, 4, 4), (_no_top_digit_dfa(5), 5, 4), (_no_top_digit_dfa(7), 7, 6)],
+    ids=["A k=4", "closed form p=5", "closed form p=7"],
+)
+def test_uncovered_set_is_infinite(dfa, base, k):
+    """Infinitely many n are uncovered: A at k = 4, and the closed forms.
+
+    Take a state s reached from the start by a string u, a digit c != 0
+    from s to a state t that leads back to s by a string w, and a string
+    v from s to an uncovered state.  Each string u (c w)^m v, m >= 0,
+    ends uncovered, and the number it spells grows with m: going to
+    m + 1 adds the block c w, of value at least 1, at place
+    |u| + m |c w| and moves v up.  So each m gives another uncovered n.
+    """
+    automaton = oracle.digit_automaton(dfa, base, k)
+    delta, covered = automaton.delta, automaton.covered
+    uncovered = {s for s, c in enumerate(covered) if not c}
+    leads_on = [s for s in _reached(delta, [0]) if _reached(delta, [s]) & uncovered]
+    assert any(
+        s in _reached(delta, [t]) for s in leads_on for t in delta[s][1:]
+    )
+
+
+def test_closed_form_uncovered_counts_at_p_5():
+    # the uncovered n below 5^L, L = 3 .. 10, keep growing
+    automaton = oracle.digit_automaton(_no_top_digit_dfa(5), 5, 4)
+    counts = [len(automaton.uncovered(5**L - 1)) for L in range(3, 11)]
+    assert counts == [11, 18, 27, 38, 51, 66, 83, 102]

@@ -1,3 +1,5 @@
+import random
+from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import count as naturals, islice
 
@@ -47,7 +49,7 @@ def test_greedy_minimality_first_200_terms():
     prefix = set(terms[:2])
     for i in range(2, len(terms)):
         for skipped in range(terms[i - 1] + 1, terms[i]):
-            assert brute.all_cover_diffs(prefix, skipped, 3), skipped
+            assert brute.covered_at(prefix, skipped, 3), skipped
         prefix.add(terms[i])
 
 
@@ -272,7 +274,7 @@ def test_explore_automaton_matches_scan(p, length, upto):
     assume(seed[-1] <= upto)
     terms = generate_upto(seed, p, upto)
     expected = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, p - 1)
-    assert stanley.explore(seed, p - 1, upto) == (terms, expected)
+    assert stanley.explore(seed, p - 1, upto) == (len(terms), terms[-1], expected)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -280,7 +282,30 @@ def test_digit_automaton_matches_brute(p):
     # n is uncovered iff no difference gives a full (p-1)-AP witness
     members = {n for n in range(401) if no_top_digit(n, p)}
     uncovered = [n for n in range(401) if not brute.all_cover_diffs(members, n, p - 1)]
-    assert stanley._uncovered_no_top_digit(p, 400) == uncovered
+    automaton = oracle.digit_automaton(stanley._no_top_digit_dfa(p), p, p - 1)
+    assert automaton.uncovered(400) == uncovered
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_count_no_top_digit_matches_terms(p):
+    terms = generate_upto([0], p, 10**6)
+    rng = random.Random(p)
+    for upto in [*range(3000), *(rng.randrange(10**6) for _ in range(300)), 10**6]:
+        i = bisect_right(terms, upto)
+        assert stanley._count_no_top_digit(p, upto) == (i, terms[i - 1]), upto
+
+
+@pytest.mark.parametrize(
+    "seed, k, upto, message",
+    [([], 4, 10, "non-empty"), ([-1, 0], 4, 10, "nonnegative"), ([0, 1], 1, 10, "length"),
+     ([0, 1, 2, 3, 4], 4, 10, "5-term AP"), ([0, 1, 2, 3, 5], 4, 4, "exceeds limit")],
+)
+def test_explore_checks_the_seed_first(seed, k, upto, message):
+    # the closed-form path counts terms instead of generating them, but
+    # refuses the same seeds with the same message as generation
+    for call in (stanley.explore, lambda seed, k, upto: generate_upto(seed, k + 1, upto)):
+        with pytest.raises(ValueError, match=message):
+            call(seed, k, upto)
 
 
 def test_seed_check_skips_closed_form_prefixes(monkeypatch):
