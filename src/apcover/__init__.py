@@ -12,7 +12,8 @@ witness (constructive 3-AP witnesses in closed form and the sweep
 that checks them over a range), oracle (the bitset covering scan over
 any integer sequence, the covering automaton of a digit-regular set
 and the k-AP filter on explicit lists), stanley
-(greedy AP-free generator), density (exact ratio analysis), cli
+(greedy AP-free generator), certify (proven closed forms for Stanley
+seeds, imported on first use), density (exact ratio analysis), cli
 (command line).
 """
 

@@ -42,16 +42,19 @@ MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
 #: At a prime order, from 0 or 0,1 or any other start of the sequence
-#: from 0, the terms come from a closed form: order 3 from 0,1 takes
-#: 0.2 s and 30 MB peak RSS at the ceiling.
-#: Every other seed and order takes the bitset sieve, whose time grows
-#: with count times the largest term and whose memory with the largest
-#: term (order 3 from 0,2: 4000 terms take 0.17 s and 16 MB, 10^4 terms
-#: 1.0 s and 18 MB, 3 * 10^4 terms 9.3 s and 23 MB, 5 * 10^4 terms 35 s
-#: and 38 MB, and 10^5 terms, the ceiling, 210 s and 62 MB, measured as
-#: one CLI process on a 2-core x86-64 host).  The seed is checked
-#: first, in time about quadratic in its length: 0.3 s for the first
-#: 4000 order-3 terms from 0,2.
+#: from 0, also moved up by a constant, the terms come from a closed
+#: form: order 3 from 0,1 takes 0.2 s and 30 MB peak RSS at the ceiling.
+#: At order 3 or 5 so do those of a seed certified as B + p^m * S(0):
+#: order 3 from 0,2 ({0, 2} + 3 * S(0)) takes 0.13-0.17 s at 4000 and
+#: 3 * 10^4 terms and 0.14-0.19 s and 28 MB at the ceiling.  Every other
+#: seed and order takes the bitset sieve, whose time grows with count
+#: times the largest term and whose memory with the largest term (order
+#: 3 from 0,4: 400 terms take 0.10-0.15 s, 4000 terms 0.23-0.29 s and
+#: 10^4 terms 2.2-2.8 s at 20 MB; from 0,2 the sieve took 11 s at
+#: 3 * 10^4 terms and 210-360 s and 62 MB at the ceiling; each figure one
+#: CLI process on a 2-core x86-64 host).  The seed check is first, in
+#: time about quadratic in its length: 0.3 s for the first 4000 order-3
+#: terms from 0,2.
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The

@@ -264,58 +264,84 @@ def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
     none of its digits up there, the digits written are zeros, which
     keep S's verdict, and a d > n leaves a borrow.
 
-    Only the NFA states reached from the start are built, each numbered
-    by one bit, and the result is the subset construction over them.
-    Built on first use of each (dfa, base, k) and kept, with the walk's
-    `live` rows, for the life of the process.
+    The result is `CoveringSubsets`, the subset construction over that
+    NFA, run to the end.  Built on first use of each (dfa, base, k) and
+    kept, with the walk's `live` rows, for the life of the process.
     """
-    step, accept = dfa
-    js = range(1, k)
-    start = (((0, 0),) * len(js), False)  # ((b_j, S state) per j, d != 0)
-    nfa = [start]
-    number = {start: 0}
-    moves = []  # moves[i][c]: the NFA states i reaches on digit c, as a bitmask
-    for per_j, nonzero in nfa:  # grows as new states turn up
+    subsets = CoveringSubsets(dfa, base, k)
+    delta = []
+    while len(delta) < len(subsets.subsets):  # grows as new subsets turn up
+        delta.append(subsets.row(len(delta)))
+    return CoveringAutomaton(base, delta, [subsets.covered(s) for s in range(len(delta))])
+
+
+class CoveringSubsets:
+    """`digit_automaton`'s NFA and its subset construction, built on demand.
+
+    Subset 0 is the start, `row(i)` is subset i's successor per digit and
+    `covered(i)` whether it holds an accepting NFA state.  Only the NFA
+    states (`nfa`, each numbered by one bit) and `subsets` that the rows
+    asked for reach are built, so a search that may stop early builds
+    only the part of the automaton it visits.
+    """
+
+    def __init__(self, dfa: tuple, base: int, k: int) -> None:
+        self.step, self.accept = dfa
+        self.base = base
+        start = (((0, 0),) * (k - 1), False)  # ((b_j, S state) per j, d != 0)
+        self.nfa = [start]
+        self.number = {start: 0}
+        self.accepting = 0  # bitmask of the accepting NFA states
+        self.moves: list[list[int]] = []  # moves[i][c]: NFA states i reaches on c
+        self.subsets = [1]
+        self.ids = {1: 0}
+        self.rows: dict[int, list[int]] = {}
+
+    def covered(self, i: int) -> bool:
+        return bool(self.subsets[i] & self.accepting)
+
+    def row(self, i: int) -> list[int]:
+        row = self.rows.get(i)
+        if row is None:
+            subset = self.subsets[i]
+            while len(self.moves) < subset.bit_length():
+                self.moves.append(self._moves(*self.nfa[len(self.moves)]))
+            held = [self.moves[n] for n, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
+            row = self.rows[i] = []
+            for moves in zip(*held) if held else [()] * self.base:  # one per digit
+                reached = 0
+                for move in moves:
+                    reached |= move
+                if reached not in self.ids:
+                    self.ids[reached] = len(self.subsets)
+                    self.subsets.append(reached)
+                row.append(self.ids[reached])
+        return row
+
+    def _moves(self, per_j: tuple, nonzero: bool) -> list[int]:
+        """The NFA states one NFA state reaches on each digit, as bitmasks."""
+        base, step, number = self.base, self.step, self.number
         row = []
         for c in range(base):
             reached = 0
             for e in range(base):  # d's digit
                 moved = []
-                for j, (borrow, s) in zip(js, per_j):
+                for j, (borrow, s) in enumerate(per_j, 1):
                     q, digit = divmod(c - j * e - borrow, base)
                     s = step[s][digit]
-                    if s is None:
+                    if s is None:  # S's DFA cannot read the digit written
                         break
                     moved.append((-q, s))
                 else:
                     state = (tuple(moved), nonzero or e > 0)
                     if state not in number:
-                        number[state] = len(nfa)
-                        nfa.append(state)
+                        number[state] = len(self.nfa)
+                        self.nfa.append(state)
+                        if state[1] and all(not b and self.accept[s] for b, s in moved):
+                            self.accepting |= 1 << number[state]
                     reached |= 1 << number[state]
             row.append(reached)
-        moves.append(row)
-    accepting = sum(
-        1 << i
-        for i, (per_j, nonzero) in enumerate(nfa)
-        if nonzero and all(not borrow and accept[s] for borrow, s in per_j)
-    )
-    subsets = [1]
-    ids = {1: 0}
-    delta = []
-    for subset in subsets:  # grows as new subsets turn up
-        held = [moves[i] for i, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
-        row = []
-        for c in range(base):
-            reached = 0
-            for move in held:
-                reached |= move[c]
-            if reached not in ids:
-                ids[reached] = len(subsets)
-                subsets.append(reached)
-            row.append(ids[reached])
-        delta.append(row)
-    return CoveringAutomaton(base, delta, [bool(s & accepting) for s in subsets])
+        return row
 
 
 def ap_tails(t: int, earlier: list[int], present, m: int) -> list[int]:

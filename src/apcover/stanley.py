@@ -4,16 +4,36 @@ Starting from a k-AP-free seed, each new term is the smallest integer
 above the last one that keeps the set free of k-term arithmetic
 progressions.  `greedy_next` is that rule as a stateless one-step
 definition.  `generate` and `generate_upto` take their terms from
-`_terms`, which picks one of two sources.  For a prime order p and a
-seed that starts the sequence from 0 ([0], [0, 1], ...), the terms are
-the numbers with no base-p digit p - 1 (`_no_top_digit`), enumerated in
-linear time.  Every other seed and order goes through the incremental
-sieve `_extend`, which runs `oracle.covering_pass` once per new term,
-so the next term is the lowest value that ends no k-AP.  A term costs
-a few shifts and ANDs on ints about as many bits long as the largest
-term, so the time grows with the term count times the largest term.
-The seed check, `greedy_next` and the sieve's test of k-APs below its
-floor come from one filter, `oracle.ap_tails`.
+`_terms`, which moves the seed to start at 0 (the rule commutes with
+adding a constant) and picks one of three sources:
+
+- at a prime order p, a seed that starts the sequence from 0 ([0],
+  [0, 1], ...) takes S(0), the numbers with no base-p digit p - 1
+  (`_no_top_digit`), enumerated in linear time;
+- at order 3 or 5, a seed whose sequence `certify.certificate` proves
+  to be B + p^m * S(0), B its terms below p^m, takes that form,
+  enumerated just as fast;
+- every other seed and order goes through the incremental sieve
+  `_extend`, which runs `oracle.covering_pass` once per new term, so the
+  next term is the lowest value that ends no k-AP.  A term costs a few
+  shifts and ANDs on ints about as many bits long as the largest term,
+  so the time grows with the term count times the largest term.
+
+The proof behind a certificate, with c the largest seed term and
+p^m > c: S = B + p^m * S(0) holds the seed and nothing else up to c, so
+it is the sequence iff each n > c is in S exactly when no p-AP of
+smaller members of S ends at n, by induction on n.  `certify` reads S
+from n's base-p digits, low first, with a DFA that gives a digit string
+and the string padded with zeros the same verdict, which is all that
+`oracle.digit_automaton`'s proof asks of a set; so the covering NFA's
+subset construction reads whether such a p-AP ends at n.  `certify`
+searches the product of those subsets, S's DFA and a comparator for
+n > c, by reachability over every digit string, so over every n, and no
+reached state may have "n in S" equal to "n covered".  An attempt
+builds a bounded number of states, and each verdict is kept in a
+bounded cache.  The seed check, `greedy_next` (which also gives B) and
+the sieve's test of k-APs below its floor come from one filter,
+`oracle.ap_tails`.
 
 `explore` asks the paper's Problem 1 of a sequence of order k + 1: which
 n up to a bound end no k-AP of its terms.  For the closed form at an
@@ -39,6 +59,12 @@ from .oracle import SETTLE, ap_tails, covering_pass, has_k_ap
 #: scan takes to 3 * 10^4 (0.15 s), so order 11 keeps the scan (2-core
 #: x86-64 host, in-process).
 AUTOMATON_MAX_ORDER = 7
+
+#: Orders whose seeds `certify.certificate` tries.  At order 7 the
+#: closed form's own covering automaton has 235 subsets, and every
+#: order-7 certificate found needed 573 states or more, past
+#: `certify.CERTIFY_BUDGET`.
+CERTIFIED_ORDERS = (3, 5)
 
 
 def greedy_next(produced: list[int], k: int = 3) -> int:
@@ -201,23 +227,40 @@ def _starts_closed_form(seed: list[int], k: int) -> bool:
 
 
 def _terms(seed: list[int], k: int) -> Iterator[int]:
-    """The terms after a seed list: closed form if it applies, else sieve.
+    """The terms after a seed list, from the first of three sources that applies.
 
-    Raises ValueError for a bad seed.  A prefix of the closed form is
-    k-AP-free by `_no_top_digit`'s proof; any other seed is checked for
-    a k-AP first.
+    Raises ValueError for a bad seed.  The greedy rule commutes with
+    adding a constant, so the seed is moved to start at 0 and the terms
+    moved back.  A prefix of the closed form S(0) is k-AP-free by
+    `_no_top_digit`'s proof and takes it; any other seed is checked for
+    a k-AP first.  Then a seed that `certify.certificate` certifies
+    takes its form below + p^m * S(0), and every other seed and order the
+    sieve `_extend`.
     """
     if not seed:
         raise ValueError("seed must be non-empty")
-    if seed[0] < 0:
+    low = seed[0]
+    if low < 0:
         raise ValueError("seed terms must be nonnegative")
     if k < 3:  # the closed form never ends at k = 2
         raise ValueError(f"progression length must be >= 3, got {k}")
-    if _starts_closed_form(seed, k):
-        return islice(_no_top_digit(k), len(seed), None)
-    if has_k_ap(seed, k):  # also rejects unsorted seeds
+    moved = [t - low for t in seed] if low else seed
+    if _starts_closed_form(moved, k):
+        terms = _no_top_digit(k)
+    elif has_k_ap(seed, k):  # also rejects unsorted seeds
         raise ValueError(f"seed contains a {k}-term AP")
-    return _extend(seed, k)
+    else:
+        form = None
+        if k in CERTIFIED_ORDERS:
+            from .certify import certificate  # compiled only where it is used
+
+            form = certificate(moved, k)
+        if not form:
+            return _extend(seed, k)
+        below, m = form
+        terms = (x * k**m + b for x in _no_top_digit(k) for b in below)
+    terms = islice(terms, len(seed), None)
+    return map(low.__add__, terms) if low else terms
 
 
 def generate(seed: list[int], k: int, count: int) -> list[int]:

@@ -221,6 +221,25 @@ def test_stanley_frozen(capsys, order, seed, count, size, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "seed, count, size, digest",
+    [
+        ("0,2", "30000", 229114,
+         "4dafd75965a8b7a3c6e2e425a22ada75f858a56cfd7610e9ed867bb4bdcdbc2e"),
+        ("0,4", "2000", 12352,
+         "fe0b2c6a6e7c4697efc81c4a5087811cb334bc4bc79acbef4c2761d8a78fddfb"),
+    ],
+)
+def test_stanley_frozen_certified_and_sieved(capsys, alarm, seed, count, size, digest):
+    # stdout recorded from the bitset sieve, which took 9.6 s for the
+    # 0,2 row; 0,2 is now certified as {0, 2} + 3 * S(0), and 0,4 keeps
+    # the sieve
+    code, out, _ = run(capsys, "stanley", "--order", "3", "--seed", seed, "--count", count)
+    assert code == 0
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("count", [cli.MAX_COUNT + 1, 10**30])
 def test_stanley_count_too_large(capsys, monkeypatch, count):
     monkeypatch.setattr(cli.stanley, "generate", _refuse_to_run)
@@ -724,10 +743,17 @@ def test_explore_problem1_other_sets_take_the_scan(capsys, monkeypatch, order, s
 def test_import_builds_no_digit_automaton():
     # each automaton, A's for min-n0 and the closed forms' for
     # explore-problem1, is built on the first call that needs it, so a
-    # process that never runs either command pays nothing for them
+    # process that never runs either command pays nothing for them; only
+    # stanley and explore-problem1 import the seed certificates
     code = (
-        "import apcover.cli; "
-        "print(apcover.cli.oracle.digit_automaton.cache_info().currsize)"
+        "import io, contextlib, sys, apcover.cli as cli\n"
+        "sizes = lambda: (cli.oracle.digit_automaton.cache_info().currsize,"
+        " 'apcover.certify' in sys.modules)\n"
+        "print(*sizes())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['verify-covering', '--from', '32', '--to', '5000'])\n"
+        "    cli.main(['min-n0', '--upto', '300'])\n"
+        "print(*sizes())\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -736,7 +762,7 @@ def test_import_builds_no_digit_automaton():
         text=True,
         check=True,
     )
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 False\n1 False\n"
 
 
 def test_explore_problem1_bad_seed(capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover import oracle, stanley
+from apcover import certify, oracle, stanley
 from apcover.stanley import generate, generate_upto, greedy_next
 
 STANLEY_01_16 = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
@@ -234,8 +234,10 @@ def test_closed_form_matches_sieve_and_naive(p, length, extra, small):
 
 @pytest.mark.parametrize(
     "seed, k",
-    [([0, 2], 3), ([0, 1, 3], 5), ([0, 1, 2, 3, 4, 6], 7), ([1], 3),
+    [([0, 1, 3], 5), ([0, 1, 2, 3, 4, 6], 7),
      ([0], 4), ([0, 1], 4), ([0, 1, 2, 4], 4), ([0, 1], 6), ([0, 1, 2, 3, 4], 6)],
+    # the ids these rows had before [0, 2] and [1] at order 3 moved out
+    ids=["seed1-5", "seed2-7", "seed4-4", "seed5-4", "seed6-4", "seed7-6", "seed8-6"],
 )
 def test_near_miss_seeds_and_composite_orders_keep_the_sieve(seed, k):
     with sieve_calls() as calls:
@@ -243,6 +245,154 @@ def test_near_miss_seeds_and_composite_orders_keep_the_sieve(seed, k):
         assert generate_upto(seed, k, terms[-1]) == terms
     assert calls == [(seed, k)] * 2
     assert terms == one_step(seed, k, 120)
+
+
+def dfa_reads(dfa, p, n, pad=0):
+    """Whether the low-digit-first DFA accepts n's digits plus pad zeros."""
+    step, accept = dfa
+    s = 0
+    digits = []
+    while n:
+        n, c = divmod(n, p)
+        digits.append(c)
+    for c in digits + [0] * pad:
+        s = step[s][c]
+        if s is None:
+            return False
+    return accept[s]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 3), st.data())
+def test_form_dfa_reads_its_set(p, m, data):
+    # any set below p^m, not just a k-AP-free one, so that some residues
+    # fill or skip a whole top digit
+    below = sorted(data.draw(st.sets(st.integers(0, p**m - 1), min_size=1)))
+    members = set(below)
+    high = {x for x in range(p**2) if no_top_digit(x, p)}
+    dfa = certify._form_dfa(below, p, m)
+    for n in range(p ** (m + 2)):
+        x, b = divmod(n, p**m)
+        expected = b in members and x in high
+        assert dfa_reads(dfa, p, n) == dfa_reads(dfa, p, n, pad=2) == expected, n
+    # no two states accept the same digit strings; two sets of the form
+    # R + p^r S(0), r <= m, that differ do so below p^m
+    step, accept = dfa
+    futures = set()
+    for s in range(len(step)):
+        future = []
+        for n in range(p ** (m + 1)):
+            t, rest = s, n
+            for _ in range(m + 1):
+                rest, c = divmod(rest, p)
+                t = step[t][c] if t is not None else None
+            future.append(t is not None and accept[t])
+        futures.add(tuple(future))
+    assert len(futures) == len(step)
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Clear the certificate cache before and after, so no verdict leaks."""
+    certify._certificate.cache_clear()
+    yield
+    certify._certificate.cache_clear()
+
+
+def sieve_terms(seed, k, count):
+    return seed + list(islice(stanley._extend(seed, k), count - len(seed)))
+
+
+def assert_skips_the_sieve(seed, k, count=3000, naive=24):
+    with sieve_calls() as calls:
+        terms = generate(seed, k, count)
+        upto = generate_upto(seed, k, terms[-1])
+    assert calls == [], seed
+    assert terms == upto == sieve_terms(seed, k, count), seed
+    assert terms[:naive] == brute.stanley_naive(seed, k, naive), seed
+
+
+#: b - a for the two-term order-3 seeds a, b below 30 that take a
+#: closed form: 1 is a start of the sequence from 0 moved up by a, and
+#: the rest are certified as below + 3^m * S(0).
+ORDER3_FORM_GAPS = {1, 2, 3, 6, 9, 18, 27}
+
+
+@pytest.mark.parametrize("gap", sorted(ORDER3_FORM_GAPS))
+def test_two_term_order3_seeds_with_a_form_skip_the_sieve(gap):
+    for a in range(30 - gap):
+        assert_skips_the_sieve([a, a + gap], 3)
+
+
+@pytest.mark.parametrize(
+    "seed, k", [([0, 2], 3), ([1], 3), ([1], 5), ([2, 3], 5), ([3], 7), ([0, 9], 3)]
+)
+def test_certified_and_moved_seeds_skip_the_sieve(seed, k):
+    # [0, 2] and [0, 9] are certified; [1], [2, 3] and [3] are starts of
+    # the sequence from 0 moved up
+    assert_skips_the_sieve(seed, k)
+
+
+@pytest.mark.parametrize(
+    "seed, k, m", [([0, 2], 3, 1), ([0, 9], 3, 3), ([0, 3, 5], 3, 2), ([0, 3, 5, 7], 5, 2)]
+)
+def test_certificate_takes_the_first_m(seed, k, m, fresh_certificates):
+    # the first m with k^m above the seed, and B the terms below k^m; for
+    # [0, 3, 5] and [0, 3, 5, 7] B ends at k^m - 1
+    below, found = certify.certificate(seed, k)
+    assert found == m
+    assert list(below) == generate_upto(seed, k, k**m - 1)
+    assert_skips_the_sieve(seed, k)
+
+
+def test_other_two_term_order3_seeds_keep_the_sieve():
+    for a in range(30):
+        for b in range(a + 1, 30):
+            with sieve_calls() as calls:
+                generate([a, b], 3, 10)
+            assert (calls == []) == (b - a in ORDER3_FORM_GAPS), (a, b)
+
+
+@pytest.mark.parametrize("seed, k", [([0, 4], 3), ([0, 5], 3), ([0, 2], 5), ([0, 1, 3], 5)])
+def test_irregular_seeds_keep_the_sieve(seed, k, fresh_certificates):
+    with sieve_calls() as calls:
+        terms = generate(seed, k, 300)
+    assert calls == [(seed, k)]
+    assert certify._certificate(tuple(seed), k) is None
+    assert terms == one_step(seed, k, 300)
+
+
+def test_certificate_over_budget_falls_back_to_the_sieve(monkeypatch, fresh_certificates):
+    monkeypatch.setattr(certify, "CERTIFY_BUDGET", 1)
+    with sieve_calls() as calls:
+        terms = generate([0, 2], 3, 500)
+    assert calls == [([0, 2], 3)]
+    assert terms == sieve_terms([0, 2], 3, 500)
+    monkeypatch.undo()
+    certify._certificate.cache_clear()
+    with sieve_calls() as calls:
+        assert generate([0, 2], 3, 500) == terms
+    assert calls == []
+
+
+def test_certificates_keep_caches_bounded(fresh_certificates):
+    # a few hundred distinct seeds, certified or not, leave at most
+    # maxsize verdicts and no automaton in digit_automaton's cache
+    automata = oracle.digit_automaton.cache_info().currsize
+    seeds = [[0, a, b] for a in range(1, 40) for b in range(a + 1, 40)]
+    seeds = [
+        seed for seed in seeds
+        if not brute.contains_k_ap(seed, 3) and not stanley._starts_closed_form(seed, 3)
+    ][:300]
+    certified = 0
+    for seed in seeds:
+        with sieve_calls() as calls:
+            assert generate(seed, 3, 20) == one_step(seed, 3, 20)
+        certified += calls == []
+    info = certify._certificate.cache_info()
+    assert len(seeds) == 300 and certified
+    assert info.misses == 300 and info.currsize == info.maxsize < 300
+    assert oracle.digit_automaton.cache_info().currsize == automata
 
 
 @settings(max_examples=60, deadline=None)
