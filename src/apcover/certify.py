@@ -2,11 +2,12 @@
 
 `certificate(seed, p)` finds, at order p = 3 or 5, the B and m with the
 order-p sequence from seed equal to B + p^m * S(0), S(0) the numbers
-with no base-p digit p - 1, and proves it for every n; `stanley` states
-the proof and imports this module only for a seed it might certify.
-`_form_dfa` reads the candidate set off its base-p digits, `_proves`
-searches the product of that DFA, the covering automaton built from it
-by `oracle.CoveringSubsets` and a comparator, and `_certificate` keeps
+with no base-p digit p - 1, and proves it for every n.  `stanley`
+states the proof, enumerates, counts and explores every form through
+the one triple (low, B, m), and imports this module only for a seed it
+might certify.  `_proves` searches the product of the form's DFA
+(`stanley._form_dfa`), the covering automaton built from it by
+`oracle.CoveringSubsets` and a comparator, and `_certificate` keeps
 each verdict, success or failure, in a bounded cache.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import oracle
-from .stanley import greedy_next
+from .stanley import _form_dfa, greedy_next
 
 #: `_certificate` tries each m with p^m at most this: m <= 4 at order 3,
 #: which covers every seed below 81, and m <= 2 at order 5.
@@ -34,50 +35,6 @@ def certificate(seed: list[int], p: int) -> tuple | None:
     once, so no long seed is kept in the cache.
     """
     return _certificate(tuple(seed), p) if seed[-1] < CERTIFY_SPAN else None
-
-
-def _form_dfa(below: list[int], p: int, m: int) -> tuple:
-    """S = below + p^m * S(0) as a minimal base-p DFA for `oracle.digit_automaton`.
-
-    `below` lies in [0, p^m).  A state is what S asks of the digits
-    still to come.  After i digits of value v it asks for the w with
-    v + p^i w in S, which is R + p^r S(0) for r = m - i and R the
-    (b - v) / p^i of each b in `below` whose low i digits are v's.  The
-    state is the pair (r, R) with the least r: R + p^r S(0) is
-    R' + p^(r-1) S(0) when R is R' + p^(r-1) {0, ..., p-2}.  So
-    (0, {0}) is S(0), and equal sets give one state.  Digit c leads
-    from (r, R), r > 0, to (r - 1, the (x - c) / p of each x in R that is
-    c mod p), and from (0, {0}) back to itself unless c is p - 1; an
-    empty R is no state.  A state accepts iff 0 is in R, which a zero
-    digit keeps, so padding with zeros keeps the verdict.
-    """
-
-    def least(r: int, rest: frozenset) -> tuple:
-        while r:
-            top = p ** (r - 1)
-            low = frozenset(x for x in rest if x < top)
-            if rest != {x + c * top for c in range(p - 1) for x in low}:
-                break
-            r, rest = r - 1, low
-        return r, rest
-
-    states = [least(m, frozenset(below))]
-    number = {states[0]: 0}
-    step = []
-    for r, rest in states:  # grows as new states turn up
-        row = []
-        for c in range(p):
-            if r:
-                after = frozenset((x - c) // p for x in rest if x % p == c)
-                state = least(r - 1, after) if after else None
-            else:
-                state = (r, rest) if c < p - 1 else None
-            if state is not None and state not in number:
-                number[state] = len(states)
-                states.append(state)
-            row.append(None if state is None else number[state])
-        step.append(tuple(row))
-    return tuple(step), tuple(0 in rest for r, rest in states)
 
 
 def _proves(below: list[int], p: int, m: int, c: int, budget: int) -> bool | None:

@@ -23,21 +23,21 @@ from .witness import MIN_N, find_witness, validate, witness_sweep
 #: 1 ms on first use), whose walk visits only the digit prefixes of 0, 1
 #: and 2: one process takes 0.06-0.10 s at 10^5, at 10^6 and at the
 #: ceiling alike, at 15 MB peak RSS, nearly all of it interpreter
-#: start-up.  explore-problem1 at a prime order K + 1 up to 7, from a
-#: start of the sequence from 0, takes the closed form's automaton the
-#: same way and counts the terms off upto's digits: --order 4 from 0,1
-#: takes 0.06-0.10 s at 10^6 and at the ceiling (15 MB).  Every other
-#: seed and order generates its terms and scans them.  The scan holds a
-#: membership table of upto + 1 bytes and makes one pass per member t on
-#: ints about t bits long, so on these dense sets its time grows with
-#: the square of upto (the k = 4 scan of the order-5 set took 9.5 s at
-#: 10^6).  Seeds off the closed form and composite orders K + 1 generate
-#: by the bitset sieve, whose time grows with the term count times upto
-#: too: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and
-#: 2.4-2.8 s at 10^6 (21 MB), about half of it generation.  Time grows
-#: with K too, as each pass loops once per j below about K: at 2 * 10^5
-#: from seed 0, --order 50 takes 23 s (40 MB) and --order 200 66 s
-#: (47 MB).  Each figure is a whole CLI process on a 2-core x86-64 host.
+#: start-up.  explore-problem1 at a prime order K + 1 up to 7 reads the
+#: automaton of the seed's closed form (see `stanley`) the same way, if
+#: it has one, and counts the terms off upto's digits: --order 4 from
+#: 0,1, 1 or 0,3 takes 0.06-0.10 s at 15 MB from 10^5 to the ceiling.
+#: Every other seed and order generates its terms and scans them.  The
+#: scan holds a membership table of upto + 1 bytes and makes one pass per
+#: member t on ints about t bits long, so on dense sets its time grows
+#: with the square of upto (the k = 4 scan took 9.5 s at 10^6 from 0,1).
+#: Seeds with no closed form and composite orders K + 1 generate by the
+#: bitset sieve, whose time grows with the term count times upto too:
+#: --order 3 from 0,1 takes 0.35 s at 2 * 10^5 (16 MB) and 2.4-2.8 s at
+#: 10^6 (21 MB), about half of it generation.  Time grows with K too, as
+#: each pass loops once per j below about K: at 2 * 10^5 from seed 0,
+#: --order 50 takes 23 s (40 MB) and --order 200 66 s (47 MB).  Each
+#: figure is a whole CLI process on a 2-core x86-64 host.
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from functools import cache
+from functools import lru_cache
 
 
 class FiniteSet:
@@ -238,7 +238,7 @@ class CoveringAutomaton:
         return sorted(uncovered)
 
 
-@cache
+@lru_cache(maxsize=8)
 def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
     """The automaton that reads whether n ends a k-AP of smaller members of S.
 
@@ -266,7 +266,7 @@ def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
 
     The result is `CoveringSubsets`, the subset construction over that
     NFA, run to the end.  Built on first use of each (dfa, base, k) and
-    kept, with the walk's `live` rows, for the life of the process.
+    kept, with the walk's `live` rows, while among the 8 used last.
     """
     subsets = CoveringSubsets(dfa, base, k)
     delta = []

@@ -3,21 +3,22 @@
 Starting from a k-AP-free seed, each new term is the smallest integer
 above the last one that keeps the set free of k-term arithmetic
 progressions.  `greedy_next` is that rule as a stateless one-step
-definition.  `generate` and `generate_upto` take their terms from
-`_terms`, which moves the seed to start at 0 (the rule commutes with
-adding a constant) and picks one of three sources:
+definition.  `generate`, `generate_upto` and `explore` take the terms
+from the source `_source` finds for the seed: a closed form or the sieve.
 
-- at a prime order p, a seed that starts the sequence from 0 ([0],
-  [0, 1], ...) takes S(0), the numbers with no base-p digit p - 1
-  (`_no_top_digit`), enumerated in linear time;
-- at order 3 or 5, a seed whose sequence `certify.certificate` proves
-  to be B + p^m * S(0), B its terms below p^m, takes that form,
-  enumerated just as fast;
-- every other seed and order goes through the incremental sieve
-  `_extend`, which runs `oracle.covering_pass` once per new term, so the
-  next term is the lowest value that ends no k-AP.  A term costs a few
-  shifts and ANDs on ints about as many bits long as the largest term,
-  so the time grows with the term count times the largest term.
+A closed form at a prime order p is the triple (low, B, m), the set
+low + B + p^m * S(0), where S(0) is the numbers with no base-p digit
+p - 1 and B lies in [0, p^m).  The greedy rule commutes with adding a
+constant, so a seed that, moved to start at 0, starts the sequence from
+0 ([0], [0, 1], ...) takes B = (0,) and m = 0; at order 3 or 5
+`certify.certificate` proves other seeds' B and m.  `_form` enumerates
+a form in linear time, `_count_form` counts it off a bound's digits and
+`_form_dfa` reads it off a number's digits.  Every other seed and order
+goes through the incremental sieve `_extend`, which runs
+`oracle.covering_pass` once per new term, so the next term is the
+lowest value that ends no k-AP.  A term costs a few shifts and ANDs on
+ints about as many bits long as the largest term, so the time grows
+with the term count times the largest term.
 
 The proof behind a certificate, with c the largest seed term and
 p^m > c: S = B + p^m * S(0) holds the seed and nothing else up to c, so
@@ -36,17 +37,17 @@ the sieve's test of k-APs below its floor come from one filter,
 `oracle.ap_tails`.
 
 `explore` asks the paper's Problem 1 of a sequence of order k + 1: which
-n up to a bound end no k-AP of its terms.  For the closed form at an
-order up to AUTOMATON_MAX_ORDER that depends only on n's base-p digits:
-`_no_top_digit_dfa` hands the closed form to `oracle.digit_automaton`,
-whose walk lists those n, and the terms are counted off the bound's
-digits, never listed.  Every other set goes through the scan,
-`oracle.uncovered_in_range`.
+n up to a bound end no k-AP of its terms.  For a closed form at an
+order up to AUTOMATON_MAX_ORDER, every n below low is uncovered, and
+whether n >= low is depends only on the base-p digits of n - low:
+`_form_dfa` hands the form to `oracle.digit_automaton`, whose walk lists
+those n, and `_count_form` counts the terms, which are never listed.
+Every other set goes through the scan, `oracle.uncovered_in_range`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import islice, takewhile
 from math import inf, isqrt
 
@@ -152,10 +153,11 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
                 cls[p % j] |= 1 << (p // j)
 
 
-def _no_top_digit(p: int) -> Iterator[int]:
-    """Yield, ascending, every n >= 0 with no base-p digit p - 1.
+def _form(below: Sequence[int], p: int, m: int) -> Iterator[int]:
+    """Yield, ascending, every member of S = below + p^m * S(0).
 
-    For a prime p this is the Stanley sequence of order p from 0
+    `below` is ascending in [0, p^m), and S(0), the numbers with no base-p
+    digit p - 1, is for a prime p the Stanley sequence of order p from 0
     (Odlyzko and Stanley, 1978, for p = 3; the argument is the same for
     every prime).  No p-AP: in a, a + d, ..., a + (p-1)d let v be the
     lowest base-p position where d is nonzero.  Digit v of a + jd is
@@ -166,28 +168,66 @@ def _no_top_digit(p: int) -> Iterator[int]:
     the rest unchanged, so it is a smaller member and n would complete a
     p-AP.
 
-    Level m+1 (the members in [p^m, p^(m+1))) is c p^m + x for
-    c = 1..p-2 and each member x below p^m, so the terms come out in
-    order, and no level is built before its terms are asked for.
+    The members of S(0) in [p^r, p^(r+1)) are c p^r + x for c = 1..p-2
+    and each member x below p^r, so, as `below` lies below p^m, those of
+    S in [p^(m+r), p^(m+r+1)) are c p^(m+r) + x for each member x of S
+    below p^(m+r).  The terms come out in order, and no level is built
+    before its terms are asked for.
     """
-    terms = [0]
-    yield 0
-    step = 1  # p^m
+    terms = list(below)
+    yield from terms
+    step = p**m  # p^(m+r)
     while True:
-        below = len(terms)
+        size = len(terms)
         for c in range(step, (p - 1) * step, step):
-            for x in islice(terms, below):
+            for x in islice(terms, size):
                 terms.append(c + x)
                 yield c + x
         step *= p
 
 
-def _no_top_digit_dfa(p: int) -> tuple:
-    """`_no_top_digit`'s set as a base-p DFA for `oracle.digit_automaton`.
+def _form_dfa(below: Sequence[int], p: int, m: int) -> tuple:
+    """S = below + p^m * S(0) as a minimal base-p DFA for `oracle.digit_automaton`.
 
-    One state, which reads every digit but p - 1 and accepts.
+    `below` lies in [0, p^m).  A state is what S asks of the digits
+    still to come.  After i digits of value v it asks for the w with
+    v + p^i w in S, which is R + p^r S(0) for r = m - i and R the
+    (b - v) / p^i of each b in `below` whose low i digits are v's.  The
+    state is the pair (r, R) with the least r: R + p^r S(0) is
+    R' + p^(r-1) S(0) when R is R' + p^(r-1) {0, ..., p-2}.  So
+    (0, {0}) is S(0), and equal sets give one state.  Digit c leads
+    from (r, R), r > 0, to (r - 1, the (x - c) / p of each x in R that is
+    c mod p), and from (0, {0}) back to itself unless c is p - 1; an
+    empty R is no state.  A state accepts iff 0 is in R, which a zero
+    digit keeps, so padding with zeros keeps the verdict.
     """
-    return ((0,) * (p - 1) + (None,),), (True,)
+
+    def least(r: int, rest: frozenset) -> tuple:
+        while r:
+            top = p ** (r - 1)
+            low = frozenset(x for x in rest if x < top)
+            if rest != {x + c * top for c in range(p - 1) for x in low}:
+                break
+            r, rest = r - 1, low
+        return r, rest
+
+    states = [least(m, frozenset(below))]
+    number = {states[0]: 0}
+    step = []
+    for r, rest in states:  # grows as new states turn up
+        row = []
+        for c in range(p):
+            if r:
+                after = frozenset((x - c) // p for x in rest if x % p == c)
+                state = least(r - 1, after) if after else None
+            else:
+                state = (r, rest) if c < p - 1 else None
+            if state is not None and state not in number:
+                number[state] = len(states)
+                states.append(state)
+            row.append(None if state is None else number[state])
+        step.append(tuple(row))
+    return tuple(step), tuple(0 in rest for r, rest in states)
 
 
 def _count_no_top_digit(p: int, upto: int) -> tuple[int, int]:
@@ -213,6 +253,17 @@ def _count_no_top_digit(p: int, upto: int) -> tuple[int, int]:
     return count + 1, last
 
 
+def _count_form(source: tuple, p: int, upto: int) -> tuple[int, int]:
+    """How many terms <= upto >= low the form (low, B, m) has, and the largest.
+
+    Each b in B adds the x in S(0) with low + b + p^m x <= upto.
+    """
+    low, below, m = source
+    upto -= low
+    per_b = [(b, *_count_no_top_digit(p, (upto - b) // p**m)) for b in below if b <= upto]
+    return sum(n for b, n, x in per_b), low + max(b + p**m * x for b, n, x in per_b)
+
+
 def _is_prime(k: int) -> bool:
     """k is prime, by trial division; every k >= 2^32 counts as composite.
 
@@ -221,52 +272,46 @@ def _is_prime(k: int) -> bool:
     return 2 <= k < 1 << 32 and all(k % d for d in range(2, isqrt(k) + 1))
 
 
-def _starts_closed_form(seed: list[int], k: int) -> bool:
-    """The seed is a prefix of the closed form `_no_top_digit(k)`."""
-    return _is_prime(k) and list(islice(_no_top_digit(k), len(seed))) == seed
+def _source(seed: list[int], k: int) -> tuple | None:
+    """(low, B, m) if the order-k sequence from seed is low + B + k^m * S(0), else None.
 
-
-def _terms(seed: list[int], k: int) -> Iterator[int]:
-    """The terms after a seed list, from the first of three sources that applies.
-
-    Raises ValueError for a bad seed.  The greedy rule commutes with
-    adding a constant, so the seed is moved to start at 0 and the terms
-    moved back.  A prefix of the closed form S(0) is k-AP-free by
-    `_no_top_digit`'s proof and takes it; any other seed is checked for
-    a k-AP first.  Then a seed that `certify.certificate` certifies
-    takes its form below + p^m * S(0), and every other seed and order the
-    sieve `_extend`.
+    Raises ValueError for a bad seed.  A seed that, moved to start at 0,
+    starts S(0) is k-AP-free by `_form`'s proof; any other seed is
+    checked for a k-AP first, and at order 3 or 5 may be certified.
     """
     if not seed:
         raise ValueError("seed must be non-empty")
     low = seed[0]
     if low < 0:
         raise ValueError("seed terms must be nonnegative")
-    if k < 3:  # the closed form never ends at k = 2
+    if k < 3:  # S(0) never ends at k = 2
         raise ValueError(f"progression length must be >= 3, got {k}")
     moved = [t - low for t in seed] if low else seed
-    if _starts_closed_form(moved, k):
-        terms = _no_top_digit(k)
-    elif has_k_ap(seed, k):  # also rejects unsorted seeds
+    if _is_prime(k) and list(islice(_form((0,), k, 0), len(seed))) == moved:
+        return low, (0,), 0
+    if has_k_ap(seed, k):  # also rejects unsorted seeds
         raise ValueError(f"seed contains a {k}-term AP")
-    else:
-        form = None
-        if k in CERTIFIED_ORDERS:
-            from .certify import certificate  # compiled only where it is used
+    if k in CERTIFIED_ORDERS:
+        from .certify import certificate  # compiled only where it is used
 
-            form = certificate(moved, k)
-        if not form:
-            return _extend(seed, k)
-        below, m = form
-        terms = (x * k**m + b for x in _no_top_digit(k) for b in below)
-    terms = islice(terms, len(seed), None)
+        form = certificate(moved, k)
+        return (low, *form) if form else None
+    return None
+
+
+def _terms(seed: list[int], k: int, source: tuple | None) -> Iterator[int]:
+    """The terms after a seed list, from its `_source`."""
+    if source is None:
+        return _extend(seed, k)
+    low, below, m = source
+    terms = islice(_form(below, k, m), len(seed), None)
     return map(low.__add__, terms) if low else terms
 
 
 def generate(seed: list[int], k: int, count: int) -> list[int]:
     """First `count` terms of the Stanley sequence of order k from seed."""
     seed = list(seed)
-    terms = _terms(seed, k)
+    terms = _terms(seed, k, _source(seed, k))
     if count < len(seed):
         raise ValueError(
             f"count {count} is below the seed length {len(seed)}"
@@ -274,22 +319,17 @@ def generate(seed: list[int], k: int, count: int) -> list[int]:
     return [*seed, *islice(terms, count - len(seed))]  # one list, extended in place
 
 
-def _terms_upto(seed: list[int], k: int, limit: int) -> Iterator[int]:
-    """The terms <= limit after a seed list.
-
-    Raises ValueError for a bad seed, as `_terms` does, then for a seed
-    that ends above limit.
-    """
-    terms = _terms(seed, k)
+def _terms_upto(seed: list[int], k: int, limit: int, source: tuple | None) -> Iterator[int]:
+    """The terms <= limit after a seed list, from its `_source`; a seed past limit raises."""
     if seed[-1] > limit:
         raise ValueError(f"seed already exceeds limit {limit}")
-    return takewhile(lambda t: t <= limit, terms)
+    return takewhile(lambda t: t <= limit, _terms(seed, k, source))
 
 
 def generate_upto(seed: list[int], k: int, limit: int) -> list[int]:
     """All terms <= limit of the Stanley sequence of order k from seed."""
     seed = list(seed)
-    return [*seed, *_terms_upto(seed, k, limit)]
+    return [*seed, *_terms_upto(seed, k, limit, _source(seed, k))]
 
 
 def explore(seed: list[int], k: int, upto: int) -> tuple[int, int, list[int]]:
@@ -298,18 +338,21 @@ def explore(seed: list[int], k: int, upto: int) -> tuple[int, int, list[int]]:
     Returns how many terms <= upto the Stanley sequence of order k + 1
     from seed has, the largest of them, and each n <= upto that no k-AP
     of them ends at.  The seed is checked first, as `generate_upto`
-    checks it.  When the terms are the closed form at an order up to
-    AUTOMATON_MAX_ORDER, no term is generated: their count and largest
-    come from upto's digits (`_count_no_top_digit`) and the uncovered n
-    from the closed form's digit automaton.  Any other set is generated
-    and goes through `oracle.uncovered_in_range`.
+    checks it.  A closed form (low, B, m) at an order up to
+    AUTOMATON_MAX_ORDER generates no term: `_count_form` counts them,
+    every n < low is uncovered, and n >= low is iff n - low is for
+    B + p^m * S(0), which its digit automaton reads.  Any other set is
+    generated and goes through `oracle.uncovered_in_range`.
     """
     seed = list(seed)
-    rest = _terms_upto(seed, k + 1, upto)
+    source = _source(seed, k + 1)
+    rest = _terms_upto(seed, k + 1, upto, source)
     # a k below 3 goes to the scan, which rejects it
-    if 3 <= k < AUTOMATON_MAX_ORDER and _starts_closed_form(seed, k + 1):
-        automaton = oracle.digit_automaton(_no_top_digit_dfa(k + 1), k + 1, k)
-        return (*_count_no_top_digit(k + 1, upto), automaton.uncovered(upto))
+    if source is not None and 3 <= k < AUTOMATON_MAX_ORDER:
+        low, below, m = source
+        automaton = oracle.digit_automaton(_form_dfa(below, k + 1, m), k + 1, k)
+        uncovered = [*range(low), *map(low.__add__, automaton.uncovered(upto - low))]
+        return (*_count_form(source, k + 1, upto), uncovered)
     terms = [*seed, *rest]
     uncovered = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, k)
     return len(terms), terms[-1], uncovered

@@ -675,6 +675,38 @@ def test_explore_problem1_frozen(capsys, order, upto, expected):
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "seed, upto, expected",
+    [
+        (
+            "1",
+            "300000",
+            "stanley_order=5 terms=65536 max_term=292969 scanned_to=300000 uncovered=67\n"
+            "uncovered: 0 1 2 3 6 7 11 26 28 31 32 51 126 136 151 153 156 157"
+            " 251 626 676 751 761 776 778 781 782 1251 3126 3376 3751 3801 3876"
+            " 3886 3901 3903 3906 3907 6251 15626 16876 18751 19001 19376 19426"
+            " 19501 19511 19526 19528 19531 19532 31251 78126 84376 93751 95001"
+            " 96876 97126 97501 97551 97626 97636 97651 97653 97656 97657"
+            " 156251\n",
+        ),
+        (
+            "0,3",
+            "100000",
+            "stanley_order=5 terms=22529 max_term=100000 scanned_to=100000 uncovered=20\n"
+            "uncovered: 0 1 2 3 4 5 8 13 28 30 153 155 778 780 3903 3905 19528"
+            " 19530 97653 97655\n",
+        ),
+    ],
+)
+def test_explore_problem1_frozen_forms(capsys, seed, upto, expected):
+    # S(0) moved up by 1, and 0,3 certified as B + 25 * S(0)
+    code, out, _ = run(
+        capsys, "explore-problem1", "--order", "4", "--seed", seed, "--upto", upto
+    )
+    assert code == 0
+    assert out == expected
+
+
 def test_explore_problem1_order4_at_ceiling(capsys, alarm):
     # the closed form's digit automaton, not the scan: the scan's time
     # grows with the square of upto and would take about 17 minutes here;
@@ -713,9 +745,12 @@ def _explore(capsys, order, seed, upto):
 
 
 @pytest.mark.parametrize(
-    "order, seed", [(4, [0]), (4, [0, 1]), (4, [0, 1, 2, 3, 5]), (6, [0, 1])]
+    "order, seed",
+    [(4, [0]), (4, [0, 1]), (4, [0, 1, 2, 3, 5]), (6, [0, 1]), (4, [1]), (4, [0, 3])],
 )
 def test_explore_problem1_closed_form_skips_the_scan(capsys, monkeypatch, order, seed):
+    # the reference also finds and caches 0,3's certificate, whose
+    # pre-check scans
     expected = _explore_by_scan(order, seed, 3000)
     monkeypatch.setattr(oracle, "uncovered_in_range", _refuse_to_run)
     assert _explore(capsys, order, seed, 3000) == (0, expected, "")
@@ -725,8 +760,9 @@ def test_explore_problem1_closed_form_skips_the_scan(capsys, monkeypatch, order,
     "order, seed", [(3, [0, 1]), (4, [0, 2]), (10, [0, 1])]
 )
 def test_explore_problem1_other_sets_take_the_scan(capsys, monkeypatch, order, seed):
-    # order 3 has no closed form (4 is not prime), 0,2 does not start
-    # it, and order 10 (prime 11) is past the automaton's cut-off
+    # order 3 has no closed form (4 is not prime), 0,2 neither starts it
+    # nor is certified, and order 10 (prime 11) is past the automaton's
+    # cut-off
     expected = _explore_by_scan(order, seed, 1000)
     calls = []
     scan = oracle.uncovered_in_range

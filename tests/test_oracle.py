@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover import oracle
+from apcover import oracle, stanley
 from apcover.oracle import (
     FiniteSet,
     ap_tails,
@@ -12,7 +14,7 @@ from apcover.oracle import (
     uncovered_in_range,
 )
 from apcover.sequence import BLOCK_DFA, BLOCK_SEQUENCE
-from apcover.stanley import _no_top_digit_dfa
+from apcover.stanley import _form_dfa, generate_upto
 from apcover.witness import Witness, find_witness
 from apcover.witness import validate as wvalidate
 
@@ -207,13 +209,44 @@ def test_block_set_uncovered_set_is_0_1_2():
     assert automaton.uncovered(2) == [0, 1, 2]
 
 
+#: For each of the 12 closed forms that the 25 order-5 sequences from 0
+#: with a seed of at most four terms below 26 take, its first seed; [0]
+#: starts S(0) and the rest are certified.
+ORDER5_FORM_SEEDS = [
+    [0], [0, 3], [0, 4], [0, 5], [0, 1, 4], [0, 1, 5], [0, 2, 4], [0, 2, 5],
+    [0, 1, 2, 5], [0, 1, 3, 5], [0, 3, 5, 7], [0, 5, 6, 8],
+]
+
+
+def test_short_order5_seeds_take_twelve_forms():
+    forms = {}
+    for size in range(4):
+        for rest in combinations(range(1, 26), size):
+            seed = [0, *rest]
+            if not has_k_ap(seed, 5) and (source := stanley._source(seed, 5)):
+                forms.setdefault(source, []).append(seed)
+    assert sum(map(len, forms.values())) == 25
+    assert [seeds[0] for seeds in forms.values()] == ORDER5_FORM_SEEDS
+
+
+def order5_form_dfa(seed):
+    """The base-5 DFA of the closed form that the order-5 sequence from seed is."""
+    low, below, m = stanley._source(seed, 5)
+    return _form_dfa(below, 5, m)
+
+
 @pytest.mark.parametrize(
     "dfa, base, k",
-    [(BLOCK_DFA, 4, 4), (_no_top_digit_dfa(5), 5, 4), (_no_top_digit_dfa(7), 7, 6)],
-    ids=["A k=4", "closed form p=5", "closed form p=7"],
+    [(BLOCK_DFA, 4, 4), (_form_dfa((0,), 5, 0), 5, 4), (_form_dfa((0,), 7, 0), 7, 6),
+     *((order5_form_dfa(seed), 5, 4) for seed in ORDER5_FORM_SEEDS[1:])],
+    ids=["A k=4", "closed form p=5", "closed form p=7",
+         *(f"form of {','.join(map(str, seed))} p=5" for seed in ORDER5_FORM_SEEDS[1:])],
 )
 def test_uncovered_set_is_infinite(dfa, base, k):
     """Infinitely many n are uncovered: A at k = 4, and the closed forms.
+
+    So no order-5 sequence that takes one of the forms of
+    ORDER5_FORM_SEEDS, nor one moved up by a constant, covers AP_4.
 
     Take a state s reached from the start by a string u, a digit c != 0
     from s to a state t that leads back to s by a string w, and a string
@@ -233,6 +266,28 @@ def test_uncovered_set_is_infinite(dfa, base, k):
 
 def test_closed_form_uncovered_counts_at_p_5():
     # the uncovered n below 5^L, L = 3 .. 10, keep growing
-    automaton = oracle.digit_automaton(_no_top_digit_dfa(5), 5, 4)
+    automaton = oracle.digit_automaton(_form_dfa((0,), 5, 0), 5, 4)
     counts = [len(automaton.uncovered(5**L - 1)) for L in range(3, 11)]
     assert counts == [11, 18, 27, 38, 51, 66, 83, 102]
+
+
+@pytest.mark.parametrize(
+    "seed, upto, count",
+    [([0], 10**5, 65), ([0], 10**7, 103), ([0, 3], 10**5, 20), ([0, 3], 10**7, 24)],
+)
+def test_problem1_uncovered_counts_at_order5(seed, upto, count):
+    assert len(stanley.explore(seed, 4, upto)[2]) == count
+
+
+def test_explore_keeps_the_automaton_cache_bounded():
+    # 300 seeds with 12 forms, more than the cache holds, so it drops the
+    # automaton used least recently
+    oracle.digit_automaton.cache_clear()
+    for low in range(25):
+        for seed in ORDER5_FORM_SEEDS:
+            moved = [low + t for t in seed]
+            terms = generate_upto(moved, 5, 300)
+            expected = uncovered_in_range(FiniteSet(terms), 0, 300, 4)
+            assert stanley.explore(moved, 4, 300) == (len(terms), terms[-1], expected)
+    info = oracle.digit_automaton.cache_info()
+    assert info.currsize == info.maxsize < len(ORDER5_FORM_SEEDS) <= info.misses

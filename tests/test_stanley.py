@@ -270,7 +270,7 @@ def test_form_dfa_reads_its_set(p, m, data):
     below = sorted(data.draw(st.sets(st.integers(0, p**m - 1), min_size=1)))
     members = set(below)
     high = {x for x in range(p**2) if no_top_digit(x, p)}
-    dfa = certify._form_dfa(below, p, m)
+    dfa = stanley._form_dfa(below, p, m)
     for n in range(p ** (m + 2)):
         x, b = divmod(n, p**m)
         expected = b in members and x in high
@@ -382,7 +382,7 @@ def test_certificates_keep_caches_bounded(fresh_certificates):
     seeds = [[0, a, b] for a in range(1, 40) for b in range(a + 1, 40)]
     seeds = [
         seed for seed in seeds
-        if not brute.contains_k_ap(seed, 3) and not stanley._starts_closed_form(seed, 3)
+        if not brute.contains_k_ap(seed, 3) and seed != digit_free(3, 3)
     ][:300]
     certified = 0
     for seed in seeds:
@@ -415,13 +415,30 @@ def test_base_seed_never_reaches_the_sieve(p):
     assert upto == [n for n in range(1001) if no_top_digit(n, p)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([5, 7]), st.integers(1, 8), st.integers(0, 6000))
-def test_explore_automaton_matches_scan(p, length, upto):
-    # the uncovered n of a closed-form prefix come from the digit
-    # automaton; the scan over the explicit terms is the reference
-    seed = digit_free(p, length)
+#: Certified order-5 seeds, B their terms below 25 and m = 2.
+CERTIFIED_ORDER5 = [[0, 3], [0, 4, 5], [0, 1, 5], [0, 2, 5, 6], [0, 1, 3, 5], [0, 5, 6, 8]]
+
+
+@st.composite
+def closed_forms(draw):
+    """(seed, p): a start of S(0) at order 5 or 7, or a certified order-5 seed, moved up."""
+    p = draw(st.sampled_from([5, 7]))
+    if p == 5 and draw(st.booleans()):
+        seed = draw(st.sampled_from(CERTIFIED_ORDER5))
+    else:
+        seed = digit_free(p, draw(st.integers(1, 8)))
+    low = draw(st.sampled_from([0, 1, 2, 7, 30, 999]))
+    return [low + t for t in seed], p
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_forms(), st.integers(0, 6000))
+def test_explore_automaton_matches_scan(form, upto):
+    # the uncovered n of a closed form come from the digit automaton; the
+    # scan over the explicit terms is the reference
+    seed, p = form
     assume(seed[-1] <= upto)
+    assert stanley._source(seed, p) is not None
     terms = generate_upto(seed, p, upto)
     expected = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, p - 1)
     assert stanley.explore(seed, p - 1, upto) == (len(terms), terms[-1], expected)
@@ -432,17 +449,33 @@ def test_digit_automaton_matches_brute(p):
     # n is uncovered iff no difference gives a full (p-1)-AP witness
     members = {n for n in range(401) if no_top_digit(n, p)}
     uncovered = [n for n in range(401) if not brute.all_cover_diffs(members, n, p - 1)]
-    automaton = oracle.digit_automaton(stanley._no_top_digit_dfa(p), p, p - 1)
+    automaton = oracle.digit_automaton(stanley._form_dfa((0,), p, 0), p, p - 1)
     assert automaton.uncovered(400) == uncovered
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_count_no_top_digit_matches_terms(p):
-    terms = generate_upto([0], p, 10**6)
+@pytest.mark.parametrize(
+    "seed, p",
+    [([0], 3), ([0], 5), ([0], 7), ([0, 2], 3), ([4, 13], 3), ([0, 3], 5), ([2], 5),
+     ([9, 12, 13, 14], 5), ([3], 7)],
+    ids=["3", "5", "7", "0,2-3", "4,13-3", "0,3-5", "2-5", "9,12,13,14-5", "3-7"],
+)
+def test_count_no_top_digit_matches_terms(seed, p):
+    # S(0), certified forms and both moved up, counted by `_count_form`
+    source = stanley._source(seed, p)
+    terms = generate_upto(seed, p, 10**6)
     rng = random.Random(p)
-    for upto in [*range(3000), *(rng.randrange(10**6) for _ in range(300)), 10**6]:
+    low = seed[0]
+    for upto in [*range(low, 3000), *(rng.randrange(low, 10**6) for _ in range(300)), 10**6]:
         i = bisect_right(terms, upto)
-        assert stanley._count_no_top_digit(p, upto) == (i, terms[i - 1]), upto
+        assert stanley._count_form(source, p, upto) == (i, terms[i - 1]), upto
+
+
+@pytest.mark.parametrize(
+    "seed, k", [([0, 2], 3), ([0, 9], 3), ([0, 3, 5], 3), ([0, 3], 5), ([0, 3, 5, 7], 5)]
+)
+def test_form_matches_definition(seed, k):
+    low, below, m = stanley._source(seed, k)
+    assert list(islice(stanley._form(below, k, m), 400)) == one_step(seed, k, 400)
 
 
 @pytest.mark.parametrize(
