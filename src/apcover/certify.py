@@ -1,109 +1,193 @@
-"""Certified closed forms B + p^m * S(0) for Stanley sequences.
+"""Closed forms B + p^m * S(0) for Stanley sequences, proved while sieving.
 
-`certificate(seed, p)` finds, at order p = 3 or 5, the B and m with the
-order-p sequence from seed equal to B + p^m * S(0), S(0) the numbers
-with no base-p digit p - 1, and proves it for every n.  `stanley`
-states the proof, enumerates, counts and explores every form through
-the one triple (low, B, m), and imports this module only for a seed it
-might certify.  `_proves` searches the product of the form's DFA
-(`stanley._form_dfa`), the covering automaton built from it by
-`oracle.CoveringSubsets` and a comparator, and `_certificate` keeps
-each verdict, success or failure, in a bounded cache.
+S(0) is the numbers with no base-p digit p - 1.  At order p = 3 or 5,
+`watch` passes on the sieve's terms from a seed that does not start
+S(0) and hands over to the form low + B + p^m * S(0), B being the
+sieved terms below low + p^m moved down by low, once `_proves` shows
+that every later term is the form's.  It searches the product of the
+form's DFA (`_form_dfa`), the covering automaton that
+`oracle.CoveringSubsets` builds from it and a comparator.  A verdict
+depends only on (B, m, p), and `_verdict` keeps it.  `stanley.explore`
+reads a form's uncovered n off `_form_dfa` through
+`oracle.digit_automaton` and counts its terms with `_count_form`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
-from . import oracle
-from .stanley import _form_dfa, greedy_next
-
-#: `_certificate` tries each m with p^m at most this: m <= 4 at order 3,
-#: which covers every seed below 81, and m <= 2 at order 5.
-CERTIFY_SPAN = 81
+from . import oracle, stanley
 
 #: NFA states, subsets and product states past which a proof gives up.
-#: Every certificate found for seeds below CERTIFY_SPAN needed at most
-#: 104, and an attempt that gives up costs a few ms at most.
-CERTIFY_BUDGET = 150
+#: The largest proofs below it are from 0,125 at order 5 (279 states,
+#: 3.3 ms) and 0,2*3^8 at order 3 (277); one that gives up costs about
+#: 4 ms (0,2*3^9 and 0,625 need 306 and 420), one refuted below it under
+#: 1 ms (2-core x86-64 host, in-process).
+CERTIFY_BUDGET = 300
 
 
-def certificate(seed: list[int], p: int) -> tuple | None:
-    """(B, m) if the order-p sequence from seed is B + p^m * S(0), else None.
+def watch(seed: list[int], p: int, forms: list) -> Iterator[Iterable[int]]:
+    """Yield the terms after a checked seed at order p, in runs to chain.
 
-    The seed must be p-AP-free.  A seed reaching CERTIFY_SPAN is None at
-    once, so no long seed is kept in the cache.
+    Each sieved term is a run of its own, at one compare with the next
+    bound, until a form is proved; its later terms are then one run.
+    With low = seed[0] and m from the first with p^m > seed[-1] - low:
+    at low + p^m the terms below, moved down by low, are B, and a term
+    other than low + p^m refutes B + p^m * S(0).  Else `_verdict` is
+    asked; unknown, the sieve must next give just the terms
+    low + B + p^m * {1, ..., p - 2} before `_proves` runs.  A proved
+    form is appended to forms as (low, B, m); anything else goes on to
+    m + 1.
     """
-    return _certificate(tuple(seed), p) if seed[-1] < CERTIFY_SPAN else None
+    low = seed[0]
+    terms = list(seed)
+    m, step = 0, 1  # step = p^m, multiplied up
+    while step <= seed[-1] - low:
+        m, step = m + 1, step * p
+    bound, below = low + step, None
+    for t in stanley._extend(seed, p):
+        while t >= bound:
+            if below is None and t == bound:  # the term B's form puts next
+                below = tuple(x - low for x in terms)
+                verdict = _verdict(below, m, p)
+                bound = low + (p - 2) * step + below[-1]  # the last of its level
+                if not verdict:  # neither proved nor refuted: read the level first
+                    continue
+            elif below is not None and t == bound and not verdict:
+                level = [low + c + b for c in range(step, (p - 1) * step, step) for b in below]
+                if terms[len(below) :] + [t] == level:
+                    verdict.append(bool(_proves(below, p, m, CERTIFY_BUDGET)))
+            if below is not None and verdict == [True]:
+                forms.append((low, below, m))
+                yield stanley._terms(terms, p, forms)
+                return
+            below = None
+            m, step = m + 1, step * p
+            bound = low + step
+        terms.append(t)
+        yield (t,)
 
 
-def _proves(below: list[int], p: int, m: int, c: int, budget: int) -> bool | None:
-    """Whether every n > c is in S = below + p^m * S(0) iff it ends no p-AP of S.
+@lru_cache(maxsize=256)
+def _verdict(below: tuple, m: int, p: int) -> list:
+    """[whether below + p^m * S(0) is the order-p sequence from below], or [].
 
-    None once the search builds more than budget states.  By
-    `digit_automaton`'s proof, the covering NFA's subsets read whether n
-    is covered from n's digits, low first and padded with any number of
-    high zeros, and S's DFA whether n is in S.  Pair both with the sign
-    of (n mod p^i) - (c mod p^i) after i digits: a digit that differs
-    from c's digit at its place sets the sign, as it outweighs every
-    lower place, and an equal digit keeps it.  Once c's digits are read
-    the sign is that of n - c, and every n > c is spelled by some
-    string, so the claim holds iff no reached triple past c's digits
-    with sign +1 has n in S and covered, or neither.  The search is
-    breadth first, so it stops at the shortest such n.
+    `watch` fills it in once `_proves` has run, so it can look a verdict
+    up without running the proof.  Only the 256 keys used last are kept.
+    """
+    return []
+
+
+def _proves(below: Sequence[int], p: int, m: int, budget: int) -> bool | None:
+    """Whether every n >= p^m is in S = below + p^m * S(0) iff it ends no p-AP of S.
+
+    None once the search builds more than budget states.  `below` holds
+    the sequence's terms below p^m, so S is the sequence iff this holds,
+    by induction on n.  By `digit_automaton`'s proof, the covering NFA's
+    subsets read whether n is covered from n's digits, low first and
+    padded with any number of high zeros, and S's DFA whether n is in
+    S.  Pair both with the digits read, counted up to m, and then
+    whether a digit at or above position m was nonzero, which is whether
+    n >= p^m.  Every such n is spelled by some string, so the claim
+    holds iff no reached triple past such a digit has n in S and
+    covered, or neither.  The search is breadth first, so it stops at
+    the shortest such n.
     """
     dfa = _form_dfa(below, p, m)
     step, accept = dfa
     covering = oracle.CoveringSubsets(dfa, p, p)
-    digits = []
-    while True:
-        c, digit = divmod(c, p)
-        digits.append(digit)
-        if not c:
-            break
     dead = (None,) * p  # no member has n's digits
-    start = (0, 0, 0, 0)  # (subset, S state, digits read capped, sign)
+    start = (0, 0, 0)  # (subset, S state, digits read; m + 1 once n >= p^m)
     seen = {start}
     queue = [start]
-    for cov, s, read, sign in queue:  # grows as new triples turn up
-        if read == len(digits) and sign > 0:
-            if (s is not None and accept[s]) == covering.covered(cov):
-                return False
+    for cov, s, read in queue:  # grows as new triples turn up
+        if read > m and (s is not None and accept[s]) == covering.covered(cov):
+            return False
         if len(covering.nfa) + len(covering.subsets) + len(seen) > budget:
             return None
-        here = digits[read] if read < len(digits) else 0
         moves = dead if s is None else step[s]
         for x, t in enumerate(covering.row(cov)):
-            triple = (t, moves[x], min(read + 1, len(digits)), (x > here) - (x < here) or sign)
+            triple = (t, moves[x], min(read + (read < m or x > 0), m + 1))
             if triple not in seen:
                 seen.add(triple)
                 queue.append(triple)
     return True
 
 
-@lru_cache(maxsize=256)
-def _certificate(seed: tuple, p: int) -> tuple | None:
-    """(below, m) with the order-p sequence from seed = below + p^m * S(0).
+def _form_dfa(below: Sequence[int], p: int, m: int) -> tuple:
+    """S = below + p^m * S(0) as a minimal base-p DFA for `oracle.digit_automaton`.
 
-    None if no m with p^m <= CERTIFY_SPAN gives that form, or if a proof
-    fails or passes CERTIFY_BUDGET states.  For each m from the first
-    with p^m > max seed, `below` is the greedy terms below p^m.  An exact
-    check refutes most wrong m cheaply: the candidate's members below
-    p^(m+1) must be the n above max seed that `oracle.uncovered_in_range`
-    finds uncovered.  Then `_proves` decides every n.
+    `below` lies in [0, p^m).  A state is what S asks of the digits
+    still to come.  After i digits of value v it asks for the w with
+    v + p^i w in S, which is R + p^r S(0) for r = m - i and R the
+    (b - v) / p^i of each b in `below` whose low i digits are v's.  The
+    state is the pair (r, R) with the least r: R + p^r S(0) is
+    R' + p^(r-1) S(0) when R is R' + p^(r-1) {0, ..., p-2}.  So
+    (0, {0}) is S(0), and equal sets give one state.  Digit c leads
+    from (r, R), r > 0, to (r - 1, the (x - c) / p of each x in R that is
+    c mod p), and from (0, {0}) back to itself unless c is p - 1; an
+    empty R is no state.  A state accepts iff 0 is in R, which a zero
+    digit keeps, so padding with zeros keeps the verdict.
     """
-    m = 1
-    while p**m <= seed[-1]:
-        m += 1
-    below = list(seed)
-    while p**m <= CERTIFY_SPAN:
-        while (t := greedy_next(below, p)) < p**m:
-            below.append(t)
-        upto = p ** (m + 1) - 1
-        candidate = [x * p**m + b for x in range(p - 1) for b in below]  # S up to upto
-        above = oracle.uncovered_in_range(oracle.FiniteSet(candidate), seed[-1] + 1, upto, p)
-        if above == candidate[len(seed) :]:
-            proved = _proves(below, p, m, seed[-1], CERTIFY_BUDGET)
-            return (tuple(below), m) if proved else None
-        m += 1
-    return None
+
+    def least(r: int, rest: frozenset) -> tuple:
+        while r:
+            top = p ** (r - 1)
+            low = frozenset(x for x in rest if x < top)
+            if rest != {x + c * top for c in range(p - 1) for x in low}:
+                break
+            r, rest = r - 1, low
+        return r, rest
+
+    states = [least(m, frozenset(below))]
+    number = {states[0]: 0}
+    step = []
+    for r, rest in states:  # grows as new states turn up
+        row = []
+        for c in range(p):
+            if r:
+                after = frozenset((x - c) // p for x in rest if x % p == c)
+                state = least(r - 1, after) if after else None
+            else:
+                state = (r, rest) if c < p - 1 else None
+            if state is not None and state not in number:
+                number[state] = len(states)
+                states.append(state)
+            row.append(None if state is None else number[state])
+        step.append(tuple(row))
+    return tuple(step), tuple(0 in rest for r, rest in states)
+
+
+def _count_no_top_digit(p: int, upto: int) -> tuple[int, int]:
+    """How many n <= upto have no base-p digit p - 1, and the largest.
+
+    One pass over upto's digits, high first.  A digit c at position i
+    admits c smaller digits there, none of them p - 1, each with
+    (p - 1)^i choices below.  At the first digit p - 1 nothing more
+    keeps upto's prefix, and the largest n takes p - 2 there and at
+    every lower digit; with no such digit upto itself counts.
+    """
+    digits = []
+    while upto:
+        upto, c = divmod(upto, p)
+        digits.append(c)
+    count = last = 0
+    for i in reversed(range(len(digits))):
+        c = digits[i]
+        count += c * (p - 1) ** i
+        if c == p - 1:
+            return count, (last * p + p - 2) * p**i + (p - 2) * (p**i - 1) // (p - 1)
+        last = last * p + c
+    return count + 1, last
+
+
+def _count_form(source: tuple, p: int, upto: int) -> tuple[int, int]:
+    """How many terms <= upto >= low the form (low, B, m) has, and the largest.
+
+    Each b in B adds the x in S(0) with low + b + p^m x <= upto.
+    """
+    low, below, m = source
+    upto -= low
+    per_b = [(b, *_count_no_top_digit(p, (upto - b) // p**m)) for b in below if b <= upto]
+    return sum(n for b, n, x in per_b), low + max(b + p**m * x for b, n, x in per_b)

@@ -41,20 +41,19 @@ from .witness import MIN_N, find_witness, validate, witness_sweep
 MAX_UPTO = 10**7
 
 #: Ceiling on stanley --count, checked before any term is generated.
-#: At a prime order, from 0 or 0,1 or any other start of the sequence
-#: from 0, also moved up by a constant, the terms come from a closed
-#: form: order 3 from 0,1 takes 0.2 s and 30 MB peak RSS at the ceiling.
-#: At order 3 or 5 so do those of a seed certified as B + p^m * S(0):
-#: order 3 from 0,2 ({0, 2} + 3 * S(0)) takes 0.13-0.17 s at 4000 and
-#: 3 * 10^4 terms and 0.14-0.19 s and 28 MB at the ceiling.  Every other
-#: seed and order takes the bitset sieve, whose time grows with count
-#: times the largest term and whose memory with the largest term (order
-#: 3 from 0,4: 400 terms take 0.10-0.15 s, 4000 terms 0.23-0.29 s and
-#: 10^4 terms 2.2-2.8 s at 20 MB; from 0,2 the sieve took 11 s at
-#: 3 * 10^4 terms and 210-360 s and 62 MB at the ceiling; each figure one
-#: CLI process on a 2-core x86-64 host).  The seed check is first, in
-#: time about quadratic in its length: 0.3 s for the first 4000 order-3
-#: terms from 0,2.
+#: At a prime order a start of the sequence from 0, also moved up by a
+#: constant, takes its closed form at once, and at order 3 or 5 any
+#: other seed takes the form B + p^m * S(0) once `certify` proves it
+#: from the sieved terms: at the ceiling, order 3 takes 0.11 s and 29 MB
+#: peak RSS from 0,1, 0.08 s from 0,2 and 0.09 s from 0,243, which
+#: sieves 126 terms first.  A seed that no form fits keeps the bitset
+#: sieve, whose time grows with count times the largest term and whose
+#: memory with the largest term (order 3 from 0,4: 400 terms take 0.06
+#: s, 4000 terms 0.13 s and 10^4 terms 1.1-1.4 s at 19 MB; from 0,2 the
+#: sieve took 11 s at 3 * 10^4 terms and 210-360 s and 62 MB at the
+#: ceiling).  The seed check is first, in time about quadratic in its
+#: length: 0.3 s for the first 4000 order-3 terms from 0,2.  Each
+#: figure is one CLI process on a 2-core x86-64 host.
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The

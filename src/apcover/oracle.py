@@ -16,10 +16,10 @@ the covered ones, so its cost follows their count, not the bound.
 
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
-asks it of every term against those before it and `greedy_next` of
-each candidate.  The Stanley sieve runs `covering_pass` online
-instead, and asks `ap_tails` only about k-APs that lie wholly in the
-seed terms below its floor.
+asks it of every term against those before it, and `greedy_next`, the
+one-step definition of a Stanley term, of each candidate.  The Stanley
+sieve runs `covering_pass` online instead, and asks `ap_tails` only
+about k-APs that lie wholly in the seed terms below its floor.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import apcover
 import brute
-from apcover import _kernels, cli, oracle, witness
+from apcover import _kernels, certify, cli, oracle, witness
 from apcover.sequence import BLOCK_SEQUENCE
 from apcover.stanley import generate, generate_upto, greedy_next
 
@@ -228,12 +228,15 @@ def test_stanley_frozen(capsys, order, seed, count, size, digest):
          "4dafd75965a8b7a3c6e2e425a22ada75f858a56cfd7610e9ed867bb4bdcdbc2e"),
         ("0,4", "2000", 12352,
          "fe0b2c6a6e7c4697efc81c4a5087811cb334bc4bc79acbef4c2761d8a78fddfb"),
+        ("0,243", "20000", 149191,
+         "0c0e7d27f6a405c6467d931ef621468df8b6796605430b2239e8987aae7d1f8f"),
     ],
 )
 def test_stanley_frozen_certified_and_sieved(capsys, alarm, seed, count, size, digest):
     # stdout recorded from the bitset sieve, which took 9.6 s for the
-    # 0,2 row; 0,2 is now certified as {0, 2} + 3 * S(0), and 0,4 keeps
-    # the sieve
+    # 0,2 row and 2.6 s for the 0,243 row; 0,2 is now certified as
+    # {0, 2} + 3 * S(0) and 0,243 as B + 3^6 * S(0), and 0,4 keeps the
+    # sieve
     code, out, _ = run(capsys, "stanley", "--order", "3", "--seed", seed, "--count", count)
     assert code == 0
     assert len(out) == size
@@ -749,9 +752,8 @@ def _explore(capsys, order, seed, upto):
     [(4, [0]), (4, [0, 1]), (4, [0, 1, 2, 3, 5]), (6, [0, 1]), (4, [1]), (4, [0, 3])],
 )
 def test_explore_problem1_closed_form_skips_the_scan(capsys, monkeypatch, order, seed):
-    # the reference also finds and caches 0,3's certificate, whose
-    # pre-check scans
     expected = _explore_by_scan(order, seed, 3000)
+    certify._verdict.cache_clear()
     monkeypatch.setattr(oracle, "uncovered_in_range", _refuse_to_run)
     assert _explore(capsys, order, seed, 3000) == (0, expected, "")
 

@@ -14,9 +14,11 @@ from apcover.oracle import (
     uncovered_in_range,
 )
 from apcover.sequence import BLOCK_DFA, BLOCK_SEQUENCE
-from apcover.stanley import _form_dfa, generate_upto
+from apcover.certify import _form_dfa
+from apcover.stanley import generate_upto
 from apcover.witness import Witness, find_witness
 from apcover.witness import validate as wvalidate
+from test_stanley import form_of
 
 
 class Naturals:
@@ -209,9 +211,9 @@ def test_block_set_uncovered_set_is_0_1_2():
     assert automaton.uncovered(2) == [0, 1, 2]
 
 
-#: For each of the 12 closed forms that the 25 order-5 sequences from 0
-#: with a seed of at most four terms below 26 take, its first seed; [0]
-#: starts S(0) and the rest are certified.
+#: For each of the 12 closed forms with m <= 2 that the 25 order-5
+#: sequences from 0 with a seed of at most four terms below 26 take, its
+#: first seed; [0] starts S(0) and the rest are certified.
 ORDER5_FORM_SEEDS = [
     [0], [0, 3], [0, 4], [0, 5], [0, 1, 4], [0, 1, 5], [0, 2, 4], [0, 2, 5],
     [0, 1, 2, 5], [0, 1, 3, 5], [0, 3, 5, 7], [0, 5, 6, 8],
@@ -219,19 +221,21 @@ ORDER5_FORM_SEEDS = [
 
 
 def test_short_order5_seeds_take_twelve_forms():
+    # 100 terms pass the level at m = 2; hundreds more of these seeds
+    # are certified at m = 3
     forms = {}
     for size in range(4):
         for rest in combinations(range(1, 26), size):
             seed = [0, *rest]
-            if not has_k_ap(seed, 5) and (source := stanley._source(seed, 5)):
-                forms.setdefault(source, []).append(seed)
+            if not has_k_ap(seed, 5) and (form := form_of(seed, 5, 100)) and form[2] <= 2:
+                forms.setdefault(form, []).append(seed)
     assert sum(map(len, forms.values())) == 25
     assert [seeds[0] for seeds in forms.values()] == ORDER5_FORM_SEEDS
 
 
 def order5_form_dfa(seed):
     """The base-5 DFA of the closed form that the order-5 sequence from seed is."""
-    low, below, m = stanley._source(seed, 5)
+    low, below, m = form_of(seed, 5, 100)
     return _form_dfa(below, 5, m)
 
 

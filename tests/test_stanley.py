@@ -209,6 +209,32 @@ def sieve_calls():
         yield calls
 
 
+@contextmanager
+def sieved_terms():
+    """Record every term that a call to the sieve `_extend` yields."""
+    terms = []
+    extend = stanley._extend
+
+    def recorded(seed, k):
+        return (terms.append(t) or t for t in extend(seed, k))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stanley, "_extend", recorded)
+        yield terms
+
+
+def form_of(seed, k, count):
+    """The closed form (low, B, m) that the first count terms from seed reach, or None.
+
+    A start of S(0) has one from the outset, and any other seed at order
+    3 or 5 one that `certify.watch` proves within those terms.
+    """
+    forms = stanley._source(seed, k)
+    for _ in islice(stanley._terms(seed, k, forms), count - len(seed)):
+        pass
+    return next(iter(forms), None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([3, 5, 7]),
@@ -270,7 +296,7 @@ def test_form_dfa_reads_its_set(p, m, data):
     below = sorted(data.draw(st.sets(st.integers(0, p**m - 1), min_size=1)))
     members = set(below)
     high = {x for x in range(p**2) if no_top_digit(x, p)}
-    dfa = stanley._form_dfa(below, p, m)
+    dfa = certify._form_dfa(below, p, m)
     for n in range(p ** (m + 2)):
         x, b = divmod(n, p**m)
         expected = b in members and x in high
@@ -292,22 +318,25 @@ def test_form_dfa_reads_its_set(p, m, data):
 
 
 @pytest.fixture
-def fresh_certificates():
-    """Clear the certificate cache before and after, so no verdict leaks."""
-    certify._certificate.cache_clear()
+def fresh_verdicts():
+    """Clear the (B, m, p) verdict cache before and after, so no verdict leaks."""
+    certify._verdict.cache_clear()
     yield
-    certify._certificate.cache_clear()
+    certify._verdict.cache_clear()
 
 
 def sieve_terms(seed, k, count):
     return seed + list(islice(stanley._extend(seed, k), count - len(seed)))
 
 
-def assert_skips_the_sieve(seed, k, count=3000, naive=24):
-    with sieve_calls() as calls:
+def assert_takes_the_form(seed, k, count=3000, naive=24):
+    # the sieve yields no term at or above low + k^(m+1), and none at
+    # all for a start of S(0)
+    with sieved_terms() as sieved:
         terms = generate(seed, k, count)
         upto = generate_upto(seed, k, terms[-1])
-    assert calls == [], seed
+    low, below, m = form_of(seed, k, count)
+    assert max(sieved, default=low) < low + k ** (m + 1), seed
     assert terms == upto == sieve_terms(seed, k, count), seed
     assert terms[:naive] == brute.stanley_naive(seed, k, naive), seed
 
@@ -321,7 +350,7 @@ ORDER3_FORM_GAPS = {1, 2, 3, 6, 9, 18, 27}
 @pytest.mark.parametrize("gap", sorted(ORDER3_FORM_GAPS))
 def test_two_term_order3_seeds_with_a_form_skip_the_sieve(gap):
     for a in range(30 - gap):
-        assert_skips_the_sieve([a, a + gap], 3)
+        assert_takes_the_form([a, a + gap], 3)
 
 
 @pytest.mark.parametrize(
@@ -330,68 +359,68 @@ def test_two_term_order3_seeds_with_a_form_skip_the_sieve(gap):
 def test_certified_and_moved_seeds_skip_the_sieve(seed, k):
     # [0, 2] and [0, 9] are certified; [1], [2, 3] and [3] are starts of
     # the sequence from 0 moved up
-    assert_skips_the_sieve(seed, k)
+    assert_takes_the_form(seed, k)
 
 
 @pytest.mark.parametrize(
     "seed, k, m", [([0, 2], 3, 1), ([0, 9], 3, 3), ([0, 3, 5], 3, 2), ([0, 3, 5, 7], 5, 2)]
 )
-def test_certificate_takes_the_first_m(seed, k, m, fresh_certificates):
-    # the first m with k^m above the seed, and B the terms below k^m; for
-    # [0, 3, 5] and [0, 3, 5, 7] B ends at k^m - 1
-    below, found = certify.certificate(seed, k)
-    assert found == m
+def test_certificate_takes_the_first_m(seed, k, m, fresh_verdicts):
+    # the (B, m) that generate hands over to: the first m with k^m above
+    # the seed, and B the terms below k^m; for [0, 3, 5] and [0, 3, 5, 7]
+    # B ends at k^m - 1
+    low, below, found = form_of(seed, k, 3000)
+    assert (low, found) == (0, m)
     assert list(below) == generate_upto(seed, k, k**m - 1)
-    assert_skips_the_sieve(seed, k)
+    assert_takes_the_form(seed, k)
 
 
 def test_other_two_term_order3_seeds_keep_the_sieve():
     for a in range(30):
         for b in range(a + 1, 30):
-            with sieve_calls() as calls:
-                generate([a, b], 3, 10)
-            assert (calls == []) == (b - a in ORDER3_FORM_GAPS), (a, b)
+            form = form_of([a, b], 3, 400)
+            assert (form is not None) == (b - a in ORDER3_FORM_GAPS), (a, b)
 
 
 @pytest.mark.parametrize("seed, k", [([0, 4], 3), ([0, 5], 3), ([0, 2], 5), ([0, 1, 3], 5)])
-def test_irregular_seeds_keep_the_sieve(seed, k, fresh_certificates):
+def test_irregular_seeds_keep_the_sieve(seed, k, fresh_verdicts):
     with sieve_calls() as calls:
         terms = generate(seed, k, 300)
     assert calls == [(seed, k)]
-    assert certify._certificate(tuple(seed), k) is None
+    assert form_of(seed, k, 300) is None
     assert terms == one_step(seed, k, 300)
 
 
-def test_certificate_over_budget_falls_back_to_the_sieve(monkeypatch, fresh_certificates):
+def test_certificate_over_budget_falls_back_to_the_sieve(monkeypatch, fresh_verdicts):
     monkeypatch.setattr(certify, "CERTIFY_BUDGET", 1)
-    with sieve_calls() as calls:
+    with sieved_terms() as sieved:
         terms = generate([0, 2], 3, 500)
-    assert calls == [([0, 2], 3)]
+    assert sieved == terms[2:]
     assert terms == sieve_terms([0, 2], 3, 500)
     monkeypatch.undo()
-    certify._certificate.cache_clear()
-    with sieve_calls() as calls:
+    certify._verdict.cache_clear()
+    with sieved_terms() as sieved:
         assert generate([0, 2], 3, 500) == terms
-    assert calls == []
+    assert sieved == [3, 5]  # {0, 2} + 3 * S(0) holds from 3 on
 
 
-def test_certificates_keep_caches_bounded(fresh_certificates):
-    # a few hundred distinct seeds, certified or not, leave at most
-    # maxsize verdicts and no automaton in digit_automaton's cache
+def test_certificates_keep_caches_bounded(fresh_verdicts):
+    # a few hundred distinct seeds, certified or not, ask for more
+    # distinct (B, m, p) verdicts than the cache keeps, leave at most
+    # maxsize of them and no automaton in digit_automaton's cache
     automata = oracle.digit_automaton.cache_info().currsize
-    seeds = [[0, a, b] for a in range(1, 40) for b in range(a + 1, 40)]
+    seeds = [[0, a, b] for a in range(1, 60) for b in range(a + 1, 60)]
     seeds = [
         seed for seed in seeds
         if not brute.contains_k_ap(seed, 3) and seed != digit_free(3, 3)
-    ][:300]
+    ][:600]
     certified = 0
     for seed in seeds:
-        with sieve_calls() as calls:
-            assert generate(seed, 3, 20) == one_step(seed, 3, 20)
-        certified += calls == []
-    info = certify._certificate.cache_info()
-    assert len(seeds) == 300 and certified
-    assert info.misses == 300 and info.currsize == info.maxsize < 300
+        assert generate(seed, 3, 80) == sieve_terms(seed, 3, 80)
+        certified += form_of(seed, 3, 80) is not None
+    info = certify._verdict.cache_info()
+    assert len(seeds) == 600 and certified
+    assert info.misses > info.maxsize == info.currsize
     assert oracle.digit_automaton.cache_info().currsize == automata
 
 
@@ -438,7 +467,7 @@ def test_explore_automaton_matches_scan(form, upto):
     # scan over the explicit terms is the reference
     seed, p = form
     assume(seed[-1] <= upto)
-    assert stanley._source(seed, p) is not None
+    assert form_of(seed, p, 3000) is not None
     terms = generate_upto(seed, p, upto)
     expected = oracle.uncovered_in_range(oracle.FiniteSet(terms), 0, upto, p - 1)
     assert stanley.explore(seed, p - 1, upto) == (len(terms), terms[-1], expected)
@@ -449,7 +478,7 @@ def test_digit_automaton_matches_brute(p):
     # n is uncovered iff no difference gives a full (p-1)-AP witness
     members = {n for n in range(401) if no_top_digit(n, p)}
     uncovered = [n for n in range(401) if not brute.all_cover_diffs(members, n, p - 1)]
-    automaton = oracle.digit_automaton(stanley._form_dfa((0,), p, 0), p, p - 1)
+    automaton = oracle.digit_automaton(certify._form_dfa((0,), p, 0), p, p - 1)
     assert automaton.uncovered(400) == uncovered
 
 
@@ -461,20 +490,20 @@ def test_digit_automaton_matches_brute(p):
 )
 def test_count_no_top_digit_matches_terms(seed, p):
     # S(0), certified forms and both moved up, counted by `_count_form`
-    source = stanley._source(seed, p)
+    source = form_of(seed, p, 3000)
     terms = generate_upto(seed, p, 10**6)
     rng = random.Random(p)
     low = seed[0]
     for upto in [*range(low, 3000), *(rng.randrange(low, 10**6) for _ in range(300)), 10**6]:
         i = bisect_right(terms, upto)
-        assert stanley._count_form(source, p, upto) == (i, terms[i - 1]), upto
+        assert certify._count_form(source, p, upto) == (i, terms[i - 1]), upto
 
 
 @pytest.mark.parametrize(
     "seed, k", [([0, 2], 3), ([0, 9], 3), ([0, 3, 5], 3), ([0, 3], 5), ([0, 3, 5, 7], 5)]
 )
 def test_form_matches_definition(seed, k):
-    low, below, m = stanley._source(seed, k)
+    low, below, m = form_of(seed, k, 3000)
     assert list(islice(stanley._form(below, k, m), 400)) == one_step(seed, k, 400)
 
 
@@ -509,3 +538,20 @@ def test_seed_check_skips_closed_form_prefixes(monkeypatch):
     assert calls == []
     assert generate([0, 2], 3, 4) == [0, 2, 3, 5]
     assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "seed, k, m",
+    [*(([0, 3**j], 3, j + 1) for j in range(1, 9)),
+     ([0, 2], 3, 1), *(([0, 2 * 3**j], 3, j + 2) for j in range(1, 9)),
+     *(([0, 5**j], 5, j + 1) for j in range(1, 4))],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v),
+)
+def test_regular_families_certify(seed, k, m, fresh_verdicts):
+    # Odlyzko and Stanley's S(0, 3^j) and S(0, 2 * 3^j), and [0, 5^j] at
+    # order 5, all prove within CERTIFY_BUDGET: at the first m with k^m
+    # above the seed, but one later for 2 * 3^j, j >= 1, whose first
+    # level does not match; [0, 1] is a start of S(0)
+    count = (k - 1) ** (m + 1) + 100  # past the level that hands over
+    assert generate(seed, k, count) == sieve_terms(seed, k, count)
+    assert form_of(seed, k, count)[2] == m
