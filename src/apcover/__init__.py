@@ -12,9 +12,9 @@ witness (constructive 3-AP witnesses in closed form and the sweep
 that checks them over a range), oracle (the bitset covering scan over
 any integer sequence, the covering automaton of a digit-regular set
 and the k-AP filter on explicit lists), stanley
-(greedy AP-free generator), certify (proven closed forms for Stanley
-seeds, imported on first use), density (exact ratio analysis), cli
-(command line).
+(greedy AP-free generator), certify (the closed forms of Stanley
+sequences, enumerated, proved while sieving and counted; stanley imports
+it at prime orders), density (exact ratio analysis), cli (command line).
 """
 
 from .sequence import (

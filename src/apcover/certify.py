@@ -1,23 +1,25 @@
 """Closed forms B + p^m * S(0) for Stanley sequences, proved while sieving.
 
-S(0) is the numbers with no base-p digit p - 1.  At order p = 3 or 5,
-`watch` passes on the sieve's terms from a seed that does not start
-S(0) and hands over to the form low + B + p^m * S(0), B being the
-sieved terms below low + p^m moved down by low, once `_proves` shows
-that every later term is the form's.  It searches the product of the
-form's DFA (`_form_dfa`), the covering automaton that
-`oracle.CoveringSubsets` builds from it and a comparator.  A verdict
-depends only on (B, m, p), and `_verdict` keeps it.  `stanley.explore`
-reads a form's uncovered n off `_form_dfa` through
-`oracle.digit_automaton` and counts its terms with `_count_form`.
+S(0) is the numbers with no base-p digit p - 1.  A closed form is the
+triple (low, B, m), the set low + B + p^m * S(0) with B in [0, p^m),
+which `_form` enumerates.  At order p = 3 or 5, `watch` passes on the
+sieve's terms from a seed that does not start S(0) and hands over to
+the form, B being the sieved terms below low + p^m moved down by low,
+once `_proves` shows that every later term is the form's.  It searches
+the product of the form's DFA (`_form_dfa`), the covering automaton
+that `oracle.CoveringSubsets` builds from it and a comparator, and
+caches each proof that runs.  `stanley.explore` reads a form's
+uncovered n off `_form_dfa` through `oracle.digit_automaton` and counts
+its terms with `_count_form`.  Only `oracle` is imported here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import islice
 
-from . import oracle, stanley
+from . import oracle
 
 #: NFA states, subsets and product states past which a proof gives up.
 #: The largest proofs below it are from 0,125 at order 5 (279 states,
@@ -27,18 +29,17 @@ from . import oracle, stanley
 CERTIFY_BUDGET = 300
 
 
-def watch(seed: list[int], p: int, forms: list) -> Iterator[Iterable[int]]:
-    """Yield the terms after a checked seed at order p, in runs to chain.
+def watch(sieve: Iterator, seed: list[int], p: int, forms: list) -> Iterator[Iterable[int]]:
+    """Yield the sieve's terms after a checked seed at order p, in runs to chain.
 
     Each sieved term is a run of its own, at one compare with the next
     bound, until a form is proved; its later terms are then one run.
     With low = seed[0] and m from the first with p^m > seed[-1] - low:
     at low + p^m the terms below, moved down by low, are B, and a term
-    other than low + p^m refutes B + p^m * S(0).  Else `_verdict` is
-    asked; unknown, the sieve must next give just the terms
-    low + B + p^m * {1, ..., p - 2} before `_proves` runs.  A proved
-    form is appended to forms as (low, B, m); anything else goes on to
-    m + 1.
+    other than low + p^m refutes B + p^m * S(0).  The sieve must next
+    give just the terms low + B + p^m * {1, ..., p - 2} before `_proves`
+    is asked, so only a proof that runs is cached.  A proved form is
+    appended to forms as (low, B, m); anything else goes on to m + 1.
     """
     low = seed[0]
     terms = list(seed)
@@ -46,22 +47,18 @@ def watch(seed: list[int], p: int, forms: list) -> Iterator[Iterable[int]]:
     while step <= seed[-1] - low:
         m, step = m + 1, step * p
     bound, below = low + step, None
-    for t in stanley._extend(seed, p):
+    for t in sieve:
         while t >= bound:
             if below is None and t == bound:  # the term B's form puts next
                 below = tuple(x - low for x in terms)
-                verdict = _verdict(below, m, p)
                 bound = low + (p - 2) * step + below[-1]  # the last of its level
-                if not verdict:  # neither proved nor refuted: read the level first
-                    continue
-            elif below is not None and t == bound and not verdict:
+                continue
+            if below is not None and t == bound:
                 level = [low + c + b for c in range(step, (p - 1) * step, step) for b in below]
-                if terms[len(below) :] + [t] == level:
-                    verdict.append(bool(_proves(below, p, m, CERTIFY_BUDGET)))
-            if below is not None and verdict == [True]:
-                forms.append((low, below, m))
-                yield stanley._terms(terms, p, forms)
-                return
+                if terms[len(below) :] + [t] == level and _proves(below, p, m, CERTIFY_BUDGET):
+                    forms.append((low, below, m))
+                    yield _form_from(forms[0], p, len(terms))
+                    return
             below = None
             m, step = m + 1, step * p
             bound = low + step
@@ -70,16 +67,7 @@ def watch(seed: list[int], p: int, forms: list) -> Iterator[Iterable[int]]:
 
 
 @lru_cache(maxsize=256)
-def _verdict(below: tuple, m: int, p: int) -> list:
-    """[whether below + p^m * S(0) is the order-p sequence from below], or [].
-
-    `watch` fills it in once `_proves` has run, so it can look a verdict
-    up without running the proof.  Only the 256 keys used last are kept.
-    """
-    return []
-
-
-def _proves(below: Sequence[int], p: int, m: int, budget: int) -> bool | None:
+def _proves(below: tuple, p: int, m: int, budget: int) -> bool | None:
     """Whether every n >= p^m is in S = below + p^m * S(0) iff it ends no p-AP of S.
 
     None once the search builds more than budget states.  `below` holds
@@ -92,7 +80,7 @@ def _proves(below: Sequence[int], p: int, m: int, budget: int) -> bool | None:
     n >= p^m.  Every such n is spelled by some string, so the claim
     holds iff no reached triple past such a digit has n in S and
     covered, or neither.  The search is breadth first, so it stops at
-    the shortest such n.
+    the shortest such n.  The 256 verdicts used last are kept.
     """
     dfa = _form_dfa(below, p, m)
     step, accept = dfa
@@ -113,6 +101,46 @@ def _proves(below: Sequence[int], p: int, m: int, budget: int) -> bool | None:
                 seen.add(triple)
                 queue.append(triple)
     return True
+
+
+def _form(below: Sequence[int], p: int, m: int) -> Iterator[int]:
+    """Yield, ascending, every member of S = below + p^m * S(0).
+
+    `below` is ascending in [0, p^m), and S(0), the numbers with no base-p
+    digit p - 1, is for a prime p the Stanley sequence of order p from 0
+    (Odlyzko and Stanley, 1978, for p = 3; the argument is the same for
+    every prime).  No p-AP: in a, a + d, ..., a + (p-1)d let v be the
+    lowest base-p position where d is nonzero.  Digit v of a + jd is
+    digit v of a plus j times that of d, mod p, with no carry from below;
+    as p is prime, over j = 0..p-1 it takes every residue, p - 1 included.
+    Greedy: if n has a digit p - 1, let D be the sum of p^i over those
+    positions.  Then n - jD for j = 1..p-1 has the digit p - 1 - j there,
+    the rest unchanged, so it is a smaller member and n would complete a
+    p-AP.
+
+    The members of S(0) in [p^r, p^(r+1)) are c p^r + x for c = 1..p-2
+    and each member x below p^r, so, as `below` lies below p^m, those of
+    S in [p^(m+r), p^(m+r+1)) are c p^(m+r) + x for each member x of S
+    below p^(m+r).  The terms come out in order, and no level is built
+    before its terms are asked for.
+    """
+    terms = list(below)
+    yield from terms
+    step = p**m  # p^(m+r)
+    while True:
+        size = len(terms)
+        for c in range(step, (p - 1) * step, step):
+            for x in islice(terms, size):
+                terms.append(c + x)
+                yield c + x
+        step *= p
+
+
+def _form_from(form: tuple, p: int, i: int) -> Iterator[int]:
+    """The terms of the form (low, B, m) at order p from its i-th on."""
+    low, below, m = form
+    terms = islice(_form(below, p, m), i, None)
+    return map(low.__add__, terms) if low else terms
 
 
 def _form_dfa(below: Sequence[int], p: int, m: int) -> tuple:

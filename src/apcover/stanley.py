@@ -12,17 +12,17 @@ low + B + p^m * S(0), where S(0) is the numbers with no base-p digit
 p - 1 and B lies in [0, p^m).  The greedy rule commutes with adding a
 constant, so a seed that, moved to start at 0, starts the sequence from
 0 ([0], [0, 1], ...) takes B = (0,) and m = 0, which `_source` finds.
-`_form` enumerates a form in linear time.  Every other seed and order
-goes through the incremental sieve `_extend`, which runs
+`certify._form` enumerates a form in linear time.  Every other seed and
+order goes through the incremental sieve `_extend`, which runs
 `oracle.covering_pass` once per new term, so the next term is the
 lowest value that ends no k-AP.  A term costs a few shifts and ANDs on
 ints about as many bits long as the largest term, so the time grows
 with the term count times the largest term.  At order 3 or 5,
-`certify.watch` reads the sieve's terms as they come and hands over to
-the form B + p^m * S(0) once it proves that the terms from low + p^m
-on are that form's, B being the sieved terms below it.  The seed check,
-`greedy_next` and the sieve's test of k-APs below its floor come from
-one filter, `oracle.ap_tails`.
+`certify.watch`, imported only at a prime order, reads the sieve's
+terms as they come and hands over to the form B + p^m * S(0) once it
+proves that the terms from low + p^m on are that form's, B being the
+sieved terms below it.  The seed check, `greedy_next` and the sieve's test of k-APs below its
+floor come from one filter, `oracle.ap_tails`.
 
 `explore` asks the paper's Problem 1 of a sequence of order k + 1: which
 n up to a bound end no k-AP of its terms.  For a closed form at an
@@ -36,7 +36,7 @@ are never listed.  Every other set goes through the scan,
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import chain, islice, takewhile
 from math import inf, isqrt
 
@@ -50,10 +50,10 @@ from .oracle import SETTLE, ap_tails, covering_pass, has_k_ap
 #: x86-64 host, in-process).
 AUTOMATON_MAX_ORDER = 7
 
-#: Orders whose sieve `certify.watch` reads for a closed form.  At order
-#: 7 the closed form's own covering automaton has 235 subsets, and the
-#: order-7 proofs from 0,7 and 0,3 need 589 and 597 states, past
-#: `certify.CERTIFY_BUDGET`.
+#: Orders whose sieve `_terms` hands to `certify.watch` to prove a
+#: closed form, each proof that runs cached.  At order 7 the form's own
+#: covering automaton has 235 subsets, and the order-7 proofs from 0,7
+#: and 0,3 need 589 and 597 states, past `certify.CERTIFY_BUDGET`.
 CERTIFIED_ORDERS = (3, 5)
 
 
@@ -142,39 +142,6 @@ def _extend(seed: list[int], k: int) -> Iterator[int]:
                 cls[p % j] |= 1 << (p // j)
 
 
-def _form(below: Sequence[int], p: int, m: int) -> Iterator[int]:
-    """Yield, ascending, every member of S = below + p^m * S(0).
-
-    `below` is ascending in [0, p^m), and S(0), the numbers with no base-p
-    digit p - 1, is for a prime p the Stanley sequence of order p from 0
-    (Odlyzko and Stanley, 1978, for p = 3; the argument is the same for
-    every prime).  No p-AP: in a, a + d, ..., a + (p-1)d let v be the
-    lowest base-p position where d is nonzero.  Digit v of a + jd is
-    digit v of a plus j times that of d, mod p, with no carry from below;
-    as p is prime, over j = 0..p-1 it takes every residue, p - 1 included.
-    Greedy: if n has a digit p - 1, let D be the sum of p^i over those
-    positions.  Then n - jD for j = 1..p-1 has the digit p - 1 - j there,
-    the rest unchanged, so it is a smaller member and n would complete a
-    p-AP.
-
-    The members of S(0) in [p^r, p^(r+1)) are c p^r + x for c = 1..p-2
-    and each member x below p^r, so, as `below` lies below p^m, those of
-    S in [p^(m+r), p^(m+r+1)) are c p^(m+r) + x for each member x of S
-    below p^(m+r).  The terms come out in order, and no level is built
-    before its terms are asked for.
-    """
-    terms = list(below)
-    yield from terms
-    step = p**m  # p^(m+r)
-    while True:
-        size = len(terms)
-        for c in range(step, (p - 1) * step, step):
-            for x in islice(terms, size):
-                terms.append(c + x)
-                yield c + x
-        step *= p
-
-
 def _is_prime(k: int) -> bool:
     """k is prime, by trial division; every k >= 2^32 counts as composite.
 
@@ -187,8 +154,8 @@ def _source(seed: list[int], k: int) -> list[tuple]:
     """[(low, (0,), 0)] if seed, moved to start at 0, starts S(0), else [].
 
     Raises ValueError for a bad seed.  A start of S(0) is k-AP-free by
-    `_form`'s proof; any other seed is checked for a k-AP.  `_terms`
-    reads the form from the list, or has `certify.watch` append one.
+    `certify._form`'s proof; any other seed is checked for a k-AP.  The
+    form is read by `_terms`, or `certify.watch` appends one.
     """
     if not seed:
         raise ValueError("seed must be non-empty")
@@ -197,9 +164,11 @@ def _source(seed: list[int], k: int) -> list[tuple]:
         raise ValueError("seed terms must be nonnegative")
     if k < 3:  # S(0) never ends at k = 2
         raise ValueError(f"progression length must be >= 3, got {k}")
-    moved = [t - low for t in seed] if low else seed
-    if _is_prime(k) and list(islice(_form((0,), k, 0), len(seed))) == moved:
-        return [(low, (0,), 0)]
+    if _is_prime(k):
+        from .certify import _form_from  # compiled only at prime orders
+
+        if list(islice(_form_from((low, (0,), 0), k, 0), len(seed))) == seed:
+            return [(low, (0,), 0)]
     if has_k_ap(seed, k):  # also rejects unsorted seeds
         raise ValueError(f"seed contains a {k}-term AP")
     return []
@@ -211,15 +180,13 @@ def _terms(seed: list[int], k: int, forms: list[tuple]) -> Iterator[int]:
     Else from the sieve, which at orders 3 and 5 goes through
     `certify.watch`: it appends to forms a form it proves on the way.
     """
-    if not forms and k in CERTIFIED_ORDERS:
-        from .certify import watch  # compiled only where it is used
-
-        return chain.from_iterable(watch(seed, k, forms))
-    if not forms:
+    if not forms and k not in CERTIFIED_ORDERS:
         return _extend(seed, k)
-    low, below, m = forms[0]
-    terms = islice(_form(below, k, m), len(seed), None)
-    return map(low.__add__, terms) if low else terms
+    from .certify import _form_from, watch  # compiled only at prime orders
+
+    if forms:
+        return _form_from(forms[0], k, len(seed))
+    return chain.from_iterable(watch(_extend(seed, k), seed, k, forms))
 
 
 def generate(seed: list[int], k: int, count: int) -> list[int]:

@@ -753,7 +753,7 @@ def _explore(capsys, order, seed, upto):
 )
 def test_explore_problem1_closed_form_skips_the_scan(capsys, monkeypatch, order, seed):
     expected = _explore_by_scan(order, seed, 3000)
-    certify._verdict.cache_clear()
+    certify._proves.cache_clear()
     monkeypatch.setattr(oracle, "uncovered_in_range", _refuse_to_run)
     assert _explore(capsys, order, seed, 3000) == (0, expected, "")
 

@@ -1,7 +1,9 @@
+import ast
 import random
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import count as naturals, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -319,10 +321,10 @@ def test_form_dfa_reads_its_set(p, m, data):
 
 @pytest.fixture
 def fresh_verdicts():
-    """Clear the (B, m, p) verdict cache before and after, so no verdict leaks."""
-    certify._verdict.cache_clear()
+    """Clear the cache of proofs before and after, so no verdict leaks."""
+    certify._proves.cache_clear()
     yield
-    certify._verdict.cache_clear()
+    certify._proves.cache_clear()
 
 
 def sieve_terms(seed, k, count):
@@ -389,6 +391,24 @@ def test_irregular_seeds_keep_the_sieve(seed, k, fresh_verdicts):
     assert calls == [(seed, k)]
     assert form_of(seed, k, 300) is None
     assert terms == one_step(seed, k, 300)
+    # a proof runs only once the level after B matches: never from
+    # [0, 4], once from each of the others, and form_of shows it refuted
+    info = certify._proves.cache_info()
+    assert info.currsize == info.misses == (seed != [0, 4])
+
+
+@pytest.mark.parametrize("seed, k", [([0, 2], 3), ([0, 9], 3), ([0, 3, 5, 7], 5)])
+def test_repeat_of_a_certified_seed_runs_no_proof(seed, k, fresh_verdicts):
+    # the second call sieves B and its first level again, then reads the
+    # cached proof
+    first = generate(seed, k, 3000)
+    misses = certify._proves.cache_info().misses
+    with sieved_terms() as sieved:
+        again = generate(seed, k, 3000)
+    assert again == first == sieve_terms(seed, k, 3000)
+    low, below, m = form_of(seed, k, 3000)
+    assert certify._proves.cache_info().misses == misses == 1
+    assert sieved == first[len(seed) : (k - 1) * len(below)]
 
 
 def test_certificate_over_budget_falls_back_to_the_sieve(monkeypatch, fresh_verdicts):
@@ -398,16 +418,17 @@ def test_certificate_over_budget_falls_back_to_the_sieve(monkeypatch, fresh_verd
     assert sieved == terms[2:]
     assert terms == sieve_terms([0, 2], 3, 500)
     monkeypatch.undo()
-    certify._verdict.cache_clear()
+    certify._proves.cache_clear()
     with sieved_terms() as sieved:
         assert generate([0, 2], 3, 500) == terms
     assert sieved == [3, 5]  # {0, 2} + 3 * S(0) holds from 3 on
 
 
 def test_certificates_keep_caches_bounded(fresh_verdicts):
-    # a few hundred distinct seeds, certified or not, ask for more
-    # distinct (B, m, p) verdicts than the cache keeps, leave at most
-    # maxsize of them and no automaton in digit_automaton's cache
+    # a few hundred distinct seeds, certified or not, agree with the
+    # sieve; with 300 more B below 27, all refuted, more distinct proofs
+    # run than the cache keeps, which keeps maxsize of them and leaves
+    # no automaton in digit_automaton's cache
     automata = oracle.digit_automaton.cache_info().currsize
     seeds = [[0, a, b] for a in range(1, 60) for b in range(a + 1, 60)]
     seeds = [
@@ -418,10 +439,24 @@ def test_certificates_keep_caches_bounded(fresh_verdicts):
     for seed in seeds:
         assert generate(seed, 3, 80) == sieve_terms(seed, 3, 80)
         certified += form_of(seed, 3, 80) is not None
-    info = certify._verdict.cache_info()
+    small = [(0, a, b) for a in range(1, 27) for b in range(a + 1, 27)][:300]
+    assert all(certify._proves(below, 3, 3, certify.CERTIFY_BUDGET) is False for below in small)
+    info = certify._proves.cache_info()
     assert len(seeds) == 600 and certified
     assert info.misses > info.maxsize == info.currsize
     assert oracle.digit_automaton.cache_info().currsize == automata
+
+
+def test_certify_imports_nothing_from_stanley():
+    # certify owns the forms and stanley imports it, never the reverse
+    tree = ast.parse(Path(certify.__file__).read_text())
+    imported = [
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+    ]
+    assert "oracle" in imported
+    assert not [name for name in imported if "stanley" in name]
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,7 +539,7 @@ def test_count_no_top_digit_matches_terms(seed, p):
 )
 def test_form_matches_definition(seed, k):
     low, below, m = form_of(seed, k, 3000)
-    assert list(islice(stanley._form(below, k, m), 400)) == one_step(seed, k, 400)
+    assert list(islice(certify._form(below, k, m), 400)) == one_step(seed, k, 400)
 
 
 @pytest.mark.parametrize(
