@@ -7,10 +7,10 @@ sieve's terms from a seed that does not start S(0) and hands over to
 the form, B being the sieved terms below low + p^m moved down by low,
 once `_proves` shows that every later term is the form's.  It searches
 the product of the form's DFA (`_form_dfa`), the covering automaton
-that `oracle.CoveringSubsets` builds from it and a comparator, and
+that `oracle.covering_automaton` builds from it and a comparator, and
 caches each proof that runs.  `stanley.explore` reads a form's
-uncovered n off `_form_dfa` through `oracle.digit_automaton` and counts
-its terms with `_count_form`.  Only `oracle` is imported here.
+uncovered n off the same builder, through `oracle.digit_automaton`, and
+counts its terms with `_count_form`.  Only `oracle` is imported here.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from itertools import islice
 
 from . import oracle
 
-#: NFA states, subsets and product states past which a proof gives up.
-#: The largest proofs below it are from 0,125 at order 5 (279 states,
-#: 3.3 ms) and 0,2*3^8 at order 3 (277); one that gives up costs about
-#: 4 ms (0,2*3^9 and 0,625 need 306 and 420), one refuted below it under
-#: 1 ms (2-core x86-64 host, in-process).
+#: NFA states, subsets and product states past which a proof gives up;
+#: it also caps the covering automaton's build.  The largest proofs
+#: below it are from 0,125 at order 5 (279 states, 3.4 ms) and 0,2*3^8
+#: at order 3 (277, 2.8 ms); one that gives up costs 4-5 ms (0,2*3^9 and
+#: 0,625 need 306 and 420).  A refutation builds the whole covering
+#: automaton before its search finds n, so 0,2 and 0,1,3 at order 5
+#: take 69 and 78 states, 0.7 ms (2-core x86-64 host, in-process).
 CERTIFY_BUDGET = 300
 
 
@@ -70,32 +72,35 @@ def watch(sieve: Iterator, seed: list[int], p: int, forms: list) -> Iterator[Ite
 def _proves(below: tuple, p: int, m: int, budget: int) -> bool | None:
     """Whether every n >= p^m is in S = below + p^m * S(0) iff it ends no p-AP of S.
 
-    None once the search builds more than budget states.  `below` holds
-    the sequence's terms below p^m, so S is the sequence iff this holds,
-    by induction on n.  By `digit_automaton`'s proof, the covering NFA's
-    subsets read whether n is covered from n's digits, low first and
-    padded with any number of high zeros, and S's DFA whether n is in
-    S.  Pair both with the digits read, counted up to m, and then
-    whether a digit at or above position m was nonzero, which is whether
-    n >= p^m.  Every such n is spelled by some string, so the claim
-    holds iff no reached triple past such a digit has n in S and
-    covered, or neither.  The search is breadth first, so it stops at
-    the shortest such n.  The 256 verdicts used last are kept.
+    None once the covering automaton, built whole first, and then the
+    search pass budget states.  `below` holds the sequence's terms
+    below p^m, so S is the sequence iff this holds, by induction on n.
+    By `oracle.covering_automaton`'s proof, its result reads whether n
+    is covered from n's digits, low first and padded with any number of
+    high zeros, and S's DFA whether n is in S.  Pair both with the
+    digits read, counted up to m, and then whether a digit at or above
+    position m was nonzero, which is whether n >= p^m.  Every such n is
+    spelled by some string, so the claim holds iff no reached triple
+    past such a digit has n in S and covered, or neither.  The search
+    is breadth first, so it stops at the shortest such n.  The 256
+    verdicts used last are kept.
     """
     dfa = _form_dfa(below, p, m)
     step, accept = dfa
-    covering = oracle.CoveringSubsets(dfa, p, p)
+    covering = oracle.covering_automaton(dfa, p, p, budget)
+    if covering is None:
+        return None
     dead = (None,) * p  # no member has n's digits
-    start = (0, 0, 0)  # (subset, S state, digits read; m + 1 once n >= p^m)
+    start = (0, 0, 0)  # (covering state, S state, digits read; m + 1 once n >= p^m)
     seen = {start}
     queue = [start]
     for cov, s, read in queue:  # grows as new triples turn up
-        if read > m and (s is not None and accept[s]) == covering.covered(cov):
+        if read > m and (s is not None and accept[s]) == covering.covered[cov]:
             return False
-        if len(covering.nfa) + len(covering.subsets) + len(seen) > budget:
+        if covering.size + len(seen) > budget:
             return None
         moves = dead if s is None else step[s]
-        for x, t in enumerate(covering.row(cov)):
+        for x, t in enumerate(covering.delta[cov]):
             triple = (t, moves[x], min(read + (read < m or x > 0), m + 1))
             if triple not in seen:
                 seen.add(triple)
@@ -144,7 +149,7 @@ def _form_from(form: tuple, p: int, i: int) -> Iterator[int]:
 
 
 def _form_dfa(below: Sequence[int], p: int, m: int) -> tuple:
-    """S = below + p^m * S(0) as a minimal base-p DFA for `oracle.digit_automaton`.
+    """S = below + p^m * S(0) as a minimal base-p DFA for `oracle.covering_automaton`.
 
     `below` lies in [0, p^m).  A state is what S asks of the digits
     still to come.  After i digits of value v it asks for the w with

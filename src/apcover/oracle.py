@@ -9,10 +9,12 @@ with one `covering_pass` per member; `covering_pass` says how.
 
 A set read by a finite automaton over its base-b digits, such as A in
 base 4 or the Stanley closed forms in base p, also has one: whether n
-is covered then depends only on n's digits, and `digit_automaton`
-builds the DFA that reads them, from the set's own DFA.  Its walk,
-`CoveringAutomaton.uncovered`, lists the uncovered n without touching
-the covered ones, so its cost follows their count, not the bound.
+is covered then depends only on n's digits, and `covering_automaton`
+builds the DFA that reads them, from the set's own DFA, for
+`certify._proves` and, kept by `digit_automaton`, for range questions.
+Its walk, `CoveringAutomaton.uncovered`, lists the uncovered n without
+touching the covered ones, so its cost follows their count, not the
+bound.
 
 `ap_tails` is the one k-AP filter on explicit ascending lists: the
 terms s < t with t - j(t - s) present for every lower j.  `has_k_ap`
@@ -27,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from functools import lru_cache
+from math import inf
 
 
 class FiniteSet:
@@ -195,13 +198,18 @@ class CoveringAutomaton:
 
     State 0 is the start, reading digit c moves from s to delta[s][c],
     and covered[s] says whether n is covered when its digits, padded
-    with any number of high zeros, end in s.  `uncovered` walks it.
+    with any number of high zeros, end in s.  `size` counts the NFA
+    states and subsets that `covering_automaton` built it from.
+    `uncovered` walks it.
     """
 
-    def __init__(self, base: int, delta: list[list[int]], covered: list[bool]) -> None:
+    def __init__(
+        self, base: int, delta: list[list[int]], covered: list[bool], size: int
+    ) -> None:
         self.base = base
         self.delta = delta
         self.covered = covered
+        self.size = size
         # live[r][s]: some r more digits lead from s to a state that is
         # not covered; rows are added as walks need more digits
         self._live = [[not c for c in covered]]
@@ -240,6 +248,17 @@ class CoveringAutomaton:
 
 @lru_cache(maxsize=8)
 def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
+    """`covering_automaton` with no cap, for `CoveringAutomaton.uncovered`.
+
+    Built on first use of each (dfa, base, k) and kept, with the walk's
+    `live` rows, while among the 8 used last.
+    """
+    return covering_automaton(dfa, base, k)
+
+
+def covering_automaton(
+    dfa: tuple, base: int, k: int, cap: float = inf
+) -> CoveringAutomaton | None:
     """The automaton that reads whether n ends a k-AP of smaller members of S.
 
     `dfa` = (step, accept) reads S's members by their base digits, low
@@ -264,84 +283,61 @@ def digit_automaton(dfa: tuple, base: int, k: int) -> CoveringAutomaton:
     none of its digits up there, the digits written are zeros, which
     keep S's verdict, and a d > n leaves a borrow.
 
-    The result is `CoveringSubsets`, the subset construction over that
-    NFA, run to the end.  Built on first use of each (dfa, base, k) and
-    kept, with the walk's `live` rows, while among the 8 used last.
+    The subset construction runs over that NFA from the start's subset,
+    visiting subsets in the order they are found, and finds each NFA
+    state's moves once a subset holds it; each NFA state is numbered by
+    one bit.  Subset i is state i of the result, covered iff it holds
+    an accepting NFA state.  The result's `size` counts NFA states and
+    subsets, and None comes back as soon as that count passes cap.
     """
-    subsets = CoveringSubsets(dfa, base, k)
+    step, accept = dfa
+    start = (((0, 0),) * (k - 1), False)  # ((b_j, S state) per j, d != 0)
+    nfa = [start]
+    number = {start: 0}
+    accepting = 0  # bitmask of the accepting NFA states
+    moves = []  # moves[i][c]: the NFA states i reaches on digit c, as a bitmask
+    subsets = [1]
+    ids = {1: 0}
     delta = []
-    while len(delta) < len(subsets.subsets):  # grows as new subsets turn up
-        delta.append(subsets.row(len(delta)))
-    return CoveringAutomaton(base, delta, [subsets.covered(s) for s in range(len(delta))])
-
-
-class CoveringSubsets:
-    """`digit_automaton`'s NFA and its subset construction, built on demand.
-
-    Subset 0 is the start, `row(i)` is subset i's successor per digit and
-    `covered(i)` whether it holds an accepting NFA state.  Only the NFA
-    states (`nfa`, each numbered by one bit) and `subsets` that the rows
-    asked for reach are built, so a search that may stop early builds
-    only the part of the automaton it visits.
-    """
-
-    def __init__(self, dfa: tuple, base: int, k: int) -> None:
-        self.step, self.accept = dfa
-        self.base = base
-        start = (((0, 0),) * (k - 1), False)  # ((b_j, S state) per j, d != 0)
-        self.nfa = [start]
-        self.number = {start: 0}
-        self.accepting = 0  # bitmask of the accepting NFA states
-        self.moves: list[list[int]] = []  # moves[i][c]: NFA states i reaches on c
-        self.subsets = [1]
-        self.ids = {1: 0}
-        self.rows: dict[int, list[int]] = {}
-
-    def covered(self, i: int) -> bool:
-        return bool(self.subsets[i] & self.accepting)
-
-    def row(self, i: int) -> list[int]:
-        row = self.rows.get(i)
-        if row is None:
-            subset = self.subsets[i]
-            while len(self.moves) < subset.bit_length():
-                self.moves.append(self._moves(*self.nfa[len(self.moves)]))
-            held = [self.moves[n] for n, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
-            row = self.rows[i] = []
-            for moves in zip(*held) if held else [()] * self.base:  # one per digit
+    for subset in subsets:  # grows as new subsets turn up
+        while len(moves) < subset.bit_length():  # the moves of each state it holds
+            per_j, nonzero = nfa[len(moves)]
+            row = []
+            for c in range(base):
                 reached = 0
-                for move in moves:
-                    reached |= move
-                if reached not in self.ids:
-                    self.ids[reached] = len(self.subsets)
-                    self.subsets.append(reached)
-                row.append(self.ids[reached])
-        return row
-
-    def _moves(self, per_j: tuple, nonzero: bool) -> list[int]:
-        """The NFA states one NFA state reaches on each digit, as bitmasks."""
-        base, step, number = self.base, self.step, self.number
+                for e in range(base):  # d's digit
+                    moved = []
+                    for j, (borrow, s) in enumerate(per_j, 1):
+                        q, digit = divmod(c - j * e - borrow, base)
+                        s = step[s][digit]
+                        if s is None:  # S's DFA cannot read the digit written
+                            break
+                        moved.append((-q, s))
+                    else:
+                        state = (tuple(moved), nonzero or e > 0)
+                        if state not in number:
+                            number[state] = len(nfa)
+                            nfa.append(state)
+                            if state[1] and all(not b and accept[s] for b, s in moved):
+                                accepting |= 1 << number[state]
+                        reached |= 1 << number[state]
+                row.append(reached)
+            moves.append(row)
+        if len(nfa) + len(subsets) > cap:
+            return None
+        held = [moves[n] for n, bit in enumerate(bin(subset)[:1:-1]) if bit == "1"]
         row = []
-        for c in range(base):
+        for per_digit in zip(*held) if held else [()] * base:  # none from the empty subset
             reached = 0
-            for e in range(base):  # d's digit
-                moved = []
-                for j, (borrow, s) in enumerate(per_j, 1):
-                    q, digit = divmod(c - j * e - borrow, base)
-                    s = step[s][digit]
-                    if s is None:  # S's DFA cannot read the digit written
-                        break
-                    moved.append((-q, s))
-                else:
-                    state = (tuple(moved), nonzero or e > 0)
-                    if state not in number:
-                        number[state] = len(self.nfa)
-                        self.nfa.append(state)
-                        if state[1] and all(not b and self.accept[s] for b, s in moved):
-                            self.accepting |= 1 << number[state]
-                    reached |= 1 << number[state]
-            row.append(reached)
-        return row
+            for move in per_digit:
+                reached |= move
+            if reached not in ids:
+                ids[reached] = len(subsets)
+                subsets.append(reached)
+            row.append(ids[reached])
+        delta.append(row)
+    covered = [bool(subset & accepting) for subset in subsets]
+    return CoveringAutomaton(base, delta, covered, len(nfa) + len(subsets))
 
 
 def ap_tails(t: int, earlier: list[int], present, m: int) -> list[int]:

@@ -45,15 +45,16 @@ from .oracle import SETTLE, ap_tails, covering_pass, has_k_ap
 
 #: Largest order whose uncovered n `explore` reads off the digit
 #: automaton.  It has 35 states at order 5 and 244 at order 7, built in
-#: 1 and 6 ms; at order 11 it has 4821, built in 0.19 s, longer than the
-#: scan takes to 3 * 10^4 (0.15 s), so order 11 keeps the scan (2-core
-#: x86-64 host, in-process).
+#: 0.4 and 3 ms; at order 11 it has 4821, built in 0.10-0.12 s, longer
+#: than the scan takes to 3 * 10^4 (0.08-0.10 s), so order 11 keeps the
+#: scan (2-core x86-64 host, in-process).
 AUTOMATON_MAX_ORDER = 7
 
 #: Orders whose sieve `_terms` hands to `certify.watch` to prove a
-#: closed form, each proof that runs cached.  At order 7 the form's own
-#: covering automaton has 235 subsets, and the order-7 proofs from 0,7
-#: and 0,3 need 589 and 597 states, past `certify.CERTIFY_BUDGET`.
+#: closed form, each proof that runs cached.  At order 7 the covering
+#: automaton of S(0) alone has 235 subsets over 35 NFA states, and the
+#: order-7 proofs from 0,7 and 0,3 need 589 and 597 states, past
+#: `certify.CERTIFY_BUDGET`.
 CERTIFIED_ORDERS = (3, 5)
 
 

@@ -168,6 +168,24 @@ def test_digit_automaton_matches_scan(k, upto):
     assert oracle.digit_automaton(BLOCK_DFA, 4, k).uncovered(upto) == expected
 
 
+@pytest.mark.parametrize(
+    "dfa, base, k, states, size",
+    [(BLOCK_DFA, 4, 3, 80, 115), (_form_dfa((0,), 5, 0), 5, 4, 35, 44),
+     (_form_dfa((0,), 7, 0), 7, 6, 244, 269)],
+    ids=["A k=3", "closed form p=5", "closed form p=7"],
+)
+def test_covering_automaton_cap(dfa, base, k, states, size):
+    # size counts NFA states and subsets: a cap below it gives up, and a
+    # cap at it builds what digit_automaton holds
+    cached = oracle.digit_automaton(dfa, base, k)
+    assert (len(cached.delta), cached.size) == (states, size)
+    for cap in (0, 1, size - 1):
+        assert oracle.covering_automaton(dfa, base, k, cap) is None
+    built = oracle.covering_automaton(dfa, base, k, size)
+    assert built is not cached
+    assert (built.delta, built.covered, built.size) == (cached.delta, cached.covered, size)
+
+
 def _reached(delta, sources):
     """Every state some digit string leads to from a state in sources."""
     seen = set(sources)

@@ -447,6 +447,45 @@ def test_certificates_keep_caches_bounded(fresh_verdicts):
     assert oracle.digit_automaton.cache_info().currsize == automata
 
 
+def asked_proofs(seed, k, count):
+    """`form_of`, and {m: B} for each proof that its terms ask for."""
+    asked = {}
+    proves = certify._proves
+
+    def recorded(below, p, m, budget):
+        asked[m] = below
+        return proves(below, p, m, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_proves", recorded)
+        return form_of(seed, k, count), asked
+
+
+@pytest.mark.parametrize(
+    "seed, k, m, budget",
+    [([0, 125], 5, 4, 279), ([0, 2 * 3**8], 3, 10, 277), ([0, 2 * 3**9], 3, 11, 306),
+     ([0, 2 * 3**9], 3, 12, 312), ([0, 625], 5, 5, 420)],
+    ids=["0,125-5", "0,2*3^8-3", "0,2*3^9-3-m11", "0,2*3^9-3-m12", "0,625-5"],
+)
+def test_largest_proofs_keep_their_budgets(seed, k, m, budget, fresh_verdicts):
+    # the fewest states each proves in: the first two fit CERTIFY_BUDGET,
+    # the rest give up there and their seeds keep the sieve
+    form, asked = asked_proofs(seed, k, (k - 1) ** (m + 1) + 100)
+    proves = certify._proves.__wrapped__
+    assert proves(asked[m], k, m, budget) is True
+    assert proves(asked[m], k, m, budget - 1) is None
+    assert (budget <= certify.CERTIFY_BUDGET) == (form == (0, asked[m], m))
+
+
+@pytest.mark.parametrize("seed", [[0, 2], [0, 1, 3]], ids=["0,2", "0,1,3"])
+def test_order5_refutations_fit_the_budget(seed, fresh_verdicts):
+    # one proof runs, and its whole covering automaton fits the budget
+    form, asked = asked_proofs(seed, 5, 300)
+    ((m, below),) = asked.items()
+    assert form is None
+    assert certify._proves.__wrapped__(below, 5, m, certify.CERTIFY_BUDGET) is False
+
+
 def test_certify_imports_nothing_from_stanley():
     # certify owns the forms and stanley imports it, never the reverse
     tree = ast.parse(Path(certify.__file__).read_text())
