@@ -57,12 +57,12 @@ MAX_UPTO = 10**7
 MAX_COUNT = 10**5
 
 #: Ceiling on argmax --upto, checked before the search starts.  The
-#: search visits about level**2 nodes at linear big-int work each, so
-#: its time grows about with the cube of the digit count.  Through
+#: search visits about 8 nodes per level at linear big-int work each, so
+#: its time grows about with the square of the digit count.  Through
 #: cli.main, in-process on a 2-core x86-64 host, bounds near 4**256 took
-#: 0.041-0.047 s: q(1, 255), q(1, 255) - 1, q(2, 255) - 1, q(4, 254),
+#: 2.4-3.7 ms: q(1, 255), q(1, 255) - 1, q(2, 255) - 1, q(4, 254),
 #: level_max(254), 4**256 - 1 and random bounds of level 255.  The
-#: search alone takes 0.09 s at 10**200 and 26 s at 10**1000.
+#: search alone takes 4 ms at 10**200 and 0.15-0.17 s at 10**1000.
 MAX_ARGMAX = 4**256
 
 #: Ceiling on density --max-level, checked before any sample is made.

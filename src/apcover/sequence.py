@@ -16,7 +16,9 @@ the whole integer with no loop over digits; member, decompose,
 witness.validate and the witness sweep all build on it.  decompose and
 encode are the only places that read or write a digit vector.
 Element is a named tuple, so it also iterates, indexes and compares
-equal to the plain tuple (level, lead, low).
+equal to the plain tuple (level, lead, low).  Its constructor checks
+every field; decompose trusts level_of instead.  The digit mask
+(4**level - 1) // 3 lives in digit_mask, cached per level.
 """
 
 from __future__ import annotations
@@ -24,27 +26,31 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, lru_cache
 
 
 class Element(namedtuple("Element", "level lead low")):
     """Canonical representation of a member of level `level`.
 
     `lead` is the coefficient of 4**level (1..4); `low` holds the
-    little-endian coefficients of 4**i for i < level, each 1 or 2.
+    little-endian coefficients of 4**i for i < level, each the int 1
+    or 2.  `low` is stored as a tuple, so an Element hashes and equals
+    the one decompose gives for its value.
     """
 
     __slots__ = ()
 
     def __new__(cls, level: int, lead: int, low: tuple[int, ...]) -> Element:
-        if level < 0:
-            raise ValueError(f"level must be nonnegative, got {level}")
-        if not 1 <= lead <= 4:
-            raise ValueError(f"lead digit must be in 1..4, got {lead}")
+        # 1.0 and True equal 1 but break encode or hash apart: ints only
+        if type(level) is not int or level < 0:
+            raise ValueError(f"level must be a nonnegative int, got {level!r}")
+        if type(lead) is not int or not 1 <= lead <= 4:
+            raise ValueError(f"lead digit must be an int in 1..4, got {lead!r}")
+        low = tuple(low)
         if len(low) != level:
             raise ValueError(f"expected {level} low digits, got {len(low)}")
-        if low.count(1) + low.count(2) != level:
-            raise ValueError(f"low digits must be 1 or 2, got {low}")
+        if low.count(1) + low.count(2) != level or not all(type(d) is int for d in low):
+            raise ValueError(f"low digits must be the ints 1 or 2, got {low}")
         return super().__new__(cls, level, lead, low)
 
     @classmethod
@@ -69,6 +75,16 @@ def encode(e: Element) -> int:
     return (e.lead << (2 * e.level)) + int(b"0" + low, 4)  # "0": level 0
 
 
+@lru_cache(maxsize=64)
+def digit_mask(level: int) -> int:
+    """(4**level - 1) // 3: the even bit of each of `level` low digits.
+
+    Queries and sweeps meet few levels, so the division runs once per
+    level; a walk over every level steps 4 * mask + 1 instead.
+    """
+    return ((1 << 2 * level) - 1) // 3
+
+
 def level_of(n: int) -> int:
     """Level of n in A, or -1 when n is not in A.
 
@@ -83,7 +99,7 @@ def level_of(n: int) -> int:
     if n < 1:
         return -1
     level = _top_level(n)
-    ones = ((1 << 2 * level) - 1) // 3  # the even bit of each low digit
+    ones = digit_mask(level)
     low = n & (3 * ones)
     return level if (low ^ low >> 1) & ones == ones else -1
 
@@ -98,24 +114,26 @@ def decompose(n: int) -> Element | None:
 
     A low digit of a member is 1 or 2, so digit i is 2 exactly when bit
     2i + 1 is set: the low digits are bits 1, 3, ..., 2*level - 1 of n,
-    read off its binary string from the end.
+    read off its binary string from the end.  Element's check is
+    skipped: it would repeat level_of's proof of the level, the lead
+    and the digits, and the translation gives `level` ints 1 or 2.
     """
     level = level_of(n)
     if level < 0:
         return None
     bits = bin(n)[-2 : -2 * level - 1 : -2]
     low = tuple(bits.encode().translate(_BIT_DIGIT))
-    return Element(level=level, lead=n >> (2 * level), low=low)
+    return tuple.__new__(Element, (level, n >> (2 * level), low))
 
 
 def level_min(level: int) -> int:
     """Smallest member of T_level: all digits at their minimum."""
-    return (4 ** (level + 1) - 1) // 3
+    return ((4 << 2 * level) - 1) // 3
 
 
 def level_max(level: int) -> int:
     """Largest member of T_level: lead 4, all low digits 2."""
-    return (14 * 4**level - 2) // 3
+    return ((14 << 2 * level) - 2) // 3
 
 
 def _top_level(n: int) -> int:
@@ -154,12 +172,12 @@ def count_leq(n: int) -> int:
     if n < 1:
         return 0
     level = _top_level(n)
-    if n >= level_max(level):
+    ones = digit_mask(level)
+    if n >= (4 << 2 * level) + 2 * ones:  # level_max(level)
         return 4 * ((1 << (level + 1)) - 1)
     total = 4 * ((1 << level) - 1)
     lead = n >> (2 * level)  # in 1..4 since level_min <= n < level_max
     total += (lead - 1) << level
-    ones = ((1 << 2 * level) - 1) // 3  # the even bit of each low digit
     rest = n & (3 * ones)
     stop = ((~(rest ^ rest >> 1) & ones).bit_length() - 1) >> 1  # -1: none
     twos = (rest >> (2 * stop + 3)) & ones  # high bits of the digits above
@@ -184,9 +202,8 @@ def element_at(j: int) -> int:
     r = j - 4 * ((1 << level) - 1) - 1
     lead = 1 + (r >> level)
     bits = r & ((1 << level) - 1)
-    ones = ((1 << 2 * level) - 1) // 3
     # read in base 4, the binary string of bits puts bit i at digit i
-    return (lead << (2 * level)) + ones + int(f"{bits:b}", 4)
+    return (lead << (2 * level)) + digit_mask(level) + int(f"{bits:b}", 4)
 
 
 @cache

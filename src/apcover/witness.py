@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .sequence import level_of
+from .sequence import digit_mask, level_of
 
 MIN_N = 32
 
@@ -49,9 +49,9 @@ def find_witness(n: int) -> Witness:
     level = level_for(n)
     shift = 2 * level
     m = n >> shift
-    ones = ((1 << shift) - 1) // 3
+    ones = digit_mask(level)
     b = (((m + 1) >> 1) << shift) + ones + ((n >> 1) & ones)
-    return Witness(a=2 * b - n, b=b, n=n, level=level, m=m)
+    return Witness(2 * b - n, b, n, level, m)  # a, b, n, level, m
 
 
 def validate(w: Witness) -> bool:

@@ -148,8 +148,9 @@ def test_argmax_upto_small(n_max, expected):
 
 @pytest.mark.parametrize("n_max", [4**30, 10**100], ids=["4^30", "10^100"])
 def test_argmax_upto_visits_quadratically_many_nodes(monkeypatch, alarm, n_max):
-    # about 0.5-0.7 * level**2 nodes have their bound tested, but only
-    # the path that straddles n_max calls count_leq; a search that
+    # 2 * level**2 is a loose ceiling on the nodes whose bound is tested
+    # (the next test bounds them linearly), and only the path that
+    # straddles n_max calls count_leq; a search that
     # stops pruning blows up exponentially, and the alarm fails it fast
     # instead of letting it run for years
     level = (n_max.bit_length() - 1) // 2
@@ -163,6 +164,25 @@ def test_argmax_upto_visits_quadratically_many_nodes(monkeypatch, alarm, n_max):
     _, _, nodes = density._search(n_max)
     assert nodes <= 2 * level**2, "search visits too many nodes"
     assert len(calls) <= level + 2, "count_leq called off the straddling path"
+
+
+@pytest.mark.parametrize(
+    "n_max", [4**30, 4**60 - 1, 10**100, 4**256 - 1, 10**200],
+    ids=["4^30", "4^60-1", "10^100", "4^256-1", "10^200"],
+)
+def test_argmax_upto_visits_linearly_many_nodes(alarm, n_max):
+    # a node within n_max whose top member beats the rest of it is a
+    # leaf: about 8 nodes per level have their bound tested, where
+    # the search without that rule tests about 0.5 * level**2
+    level = (n_max.bit_length() - 1) // 2
+    bound = 8 * (level + 1)
+    best, count, nodes = density._search(n_max)
+    assert nodes <= bound, "search visits too many nodes"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_top_is_best", lambda hi, f, count: False)
+        *without, nodes_without = density._search(n_max)
+    assert without == [best, count]
+    assert nodes_without > bound, "the bound holds without the rule"
 
 
 def _boundaries(max_level):
@@ -245,7 +265,8 @@ def test_argmax_upto_breaks_ties_to_smaller_n(weights):
     # small weights: every bound still holds for a nondecreasing count
     # that only rises at members, and equal ratios become common.  The
     # search's one count identity, a node's member count, follows the
-    # weights too.
+    # weights too.  The leaf rule's lemma assumes one count per member,
+    # which the weights break, so it is switched off.
     members = _MEMBERS_4_5
     counts = list(accumulate([1, 0, 0, 1] + weights))
 
@@ -259,6 +280,7 @@ def test_argmax_upto_breaks_ties_to_smaller_n(weights):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(density, "count_leq", weighted)
         mp.setattr(density, "_node_members", node_members)
+        mp.setattr(density, "_top_is_best", lambda hi, f, count: False)
         for v, best in zip(members, _member_scan(members, counts)):
             assert argmax_upto(v) == best, v
             assert brute.argmax_branch_and_bound(v, weighted) == best, v

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
+from apcover.density import argmax_upto, q_point
 from apcover.sequence import (
     BLOCK_SEQUENCE,
     Element,
     count_leq,
     decompose,
+    digit_mask,
     element_at,
     encode,
     iter_range,
@@ -55,6 +57,16 @@ def test_element_validation():
         Element._make((1, 1, (3,)))
     with pytest.raises(ValueError):
         decompose(17)._replace(lead=5)
+    # fields that equal an int but are not one
+    for level, lead, low in [(1, 1, (1.0,)), (1, 1, (True,)), (1, 1, (2.0,)),
+                             (1, 1, ("1",)), (0, 1.5, ()), (0, 2.0, ()), (1.0, 1, (1,))]:
+        with pytest.raises(ValueError):
+            Element(level=level, lead=lead, low=low)
+    # any sequence of digits is stored as a tuple, hashable and equal to
+    # the Element decompose gives
+    e = Element(level=1, lead=1, low=[1])
+    assert type(e.low) is tuple
+    assert e == decompose(5) and hash(e) == hash(decompose(5))
 
 
 def test_element_record_contract():
@@ -202,6 +214,43 @@ def test_decompose_and_encode_match_brute_digits(n):
     lead = brute.from_digits(digits[level:])
     assert e == Element(level, lead, tuple(digits[:level]))
     assert encode(e) == brute.from_digits(digits) == n
+
+
+@given(huge_members())
+@settings(max_examples=100, deadline=None)
+@example(1)  # level 0
+@example(level_min(60))
+@example(level_max(6000))
+def test_decompose_equals_validated_element(n):
+    # decompose skips Element's check; the checked copy must agree
+    e = decompose(n)
+    checked = Element(*e)
+    assert type(e) is Element
+    assert e == checked and hash(e) == hash(checked)
+    assert all(type(d) is int for d in e.low)
+
+
+def test_level_bounds_match_pow_forms():
+    for level in [*range(201), 6000]:
+        assert level_min(level) == (4 ** (level + 1) - 1) // 3, level
+        assert level_max(level) == (14 * 4**level - 2) // 3, level
+        assert digit_mask(level) == (4**level - 1) // 3, level
+        for lead in (1, 2, 3, 4):
+            value = lead * 4**level + 2 * (4**level - 1) // 3
+            assert q_point(lead, level).value == value, (lead, level)
+
+
+def test_digit_mask_cache_stays_bounded():
+    info = digit_mask.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 64
+    # the search walks all 256 levels on its own mask; only count_leq,
+    # here for the bound alone, asks the cache
+    n_max = 4**256 - 1
+    count_leq(n_max)
+    before = digit_mask.cache_info()
+    argmax_upto(n_max)
+    after = digit_mask.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 @pytest.mark.parametrize(

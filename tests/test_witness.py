@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -128,3 +128,19 @@ def test_witness_valid_for_huge_n(n):
     w = find_witness(n)
     assert validate(w)
     assert w == brute.table_witness(n)
+
+
+@given(st.integers(2, 6000).flatmap(lambda l: st.integers(2 * 4**l, 8 * 4**l - 1)))
+@settings(max_examples=50, deadline=None)
+@example(32)
+@example(2 * 4**6000)
+@example(8 * 4**6000 - 1)
+def test_find_witness_fields_to_4_6000(n):
+    # the fields by name, built positionally, and the tables' witness
+    w = find_witness(n)
+    level = level_for(n)
+    assert w._asdict() == {
+        "a": 2 * w.b - n, "b": w.b, "n": n, "level": level, "m": n >> 2 * level,
+    }
+    assert w == brute.table_witness(n)
+    assert validate(w)
