@@ -165,7 +165,7 @@ def _search(n_max: int) -> tuple[int, int, int]:
     past = count_leq(n_max)  # the count of every node reaching past n_max
     stack = []  # (prefix, free low digits f, ones(f), count); top level on top
     total = 0  # members up to the current block
-    ones = 0  # digit_mask(level), stepped: a walk over every level
+    ones = 0  # digit_mask(level), stepped level by level
     for level in range((n_max.bit_length() + 1) // 2):  # 4**level <= n_max
         block = []
         for lead in (1, 2, 3, 4):

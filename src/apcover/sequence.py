@@ -18,7 +18,7 @@ encode are the only places that read or write a digit vector.
 Element is a named tuple, so it also iterates, indexes and compares
 equal to the plain tuple (level, lead, low).  Its constructor checks
 every field; decompose trusts level_of instead.  The digit mask
-(4**level - 1) // 3 lives in digit_mask, cached per level.
+(4**level - 1) // 3 has one definition, digit_mask.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cache, lru_cache
+from functools import cache
 
 
 class Element(namedtuple("Element", "level lead low")):
@@ -75,13 +75,8 @@ def encode(e: Element) -> int:
     return (e.lead << (2 * e.level)) + int(b"0" + low, 4)  # "0": level 0
 
 
-@lru_cache(maxsize=64)
 def digit_mask(level: int) -> int:
-    """(4**level - 1) // 3: the even bit of each of `level` low digits.
-
-    Queries and sweeps meet few levels, so the division runs once per
-    level; a walk over every level steps 4 * mask + 1 instead.
-    """
+    """(4**level - 1) // 3: the even bit of each of `level` low digits."""
     return ((1 << 2 * level) - 1) // 3
 
 
@@ -151,9 +146,11 @@ def count_leq(n: int) -> int:
     """Number of members of A that are <= n (the counting function A(n)).
 
     Levels strictly below the straddling one contribute 4 * (2**l - 1)
-    and each lead below n's contributes 2**l, in closed form.  Within
-    the lead, count the members whose low digits are <= n's, with no
-    loop over digits:
+    and each lead below n's contributes 2**l, in closed form; a lead 5
+    puts n between levels, past the whole of its own.  Within the lead,
+    count the members whose low digits are <= n's, with no loop over
+    digits (a lead-4 n past level_max stops at a 3 below digits 2, and
+    counts all 2**l):
 
     * mask: ~(rest ^ rest >> 1) & ones has the even bit of every low
       digit that is 0 or 3 (its two bits agree).  The top one is the
@@ -172,12 +169,11 @@ def count_leq(n: int) -> int:
     if n < 1:
         return 0
     level = _top_level(n)
-    ones = digit_mask(level)
-    if n >= (4 << 2 * level) + 2 * ones:  # level_max(level)
+    lead = n >> (2 * level)  # 1..5, as n < level_min(level + 1)
+    if lead > 4:  # past level_max(level): the whole level is below n
         return 4 * ((1 << (level + 1)) - 1)
-    total = 4 * ((1 << level) - 1)
-    lead = n >> (2 * level)  # in 1..4 since level_min <= n < level_max
-    total += (lead - 1) << level
+    total = 4 * ((1 << level) - 1) + ((lead - 1) << level)
+    ones = digit_mask(level)
     rest = n & (3 * ones)
     stop = ((~(rest ^ rest >> 1) & ones).bit_length() - 1) >> 1  # -1: none
     twos = (rest >> (2 * stop + 3)) & ones  # high bits of the digits above

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from apcover.density import argmax_upto, q_point
+from apcover.density import q_point
 from apcover.sequence import (
     BLOCK_SEQUENCE,
     Element,
@@ -240,19 +240,6 @@ def test_level_bounds_match_pow_forms():
             assert q_point(lead, level).value == value, (lead, level)
 
 
-def test_digit_mask_cache_stays_bounded():
-    info = digit_mask.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 64
-    # the search walks all 256 levels on its own mask; only count_leq,
-    # here for the bound alone, asks the cache
-    n_max = 4**256 - 1
-    count_leq(n_max)
-    before = digit_mask.cache_info()
-    argmax_upto(n_max)
-    after = digit_mask.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
-
-
 @pytest.mark.parametrize(
     "n, expected",
     [(0, 0), (5, 5), (19, 12), (26, 16)],
@@ -296,7 +283,10 @@ def test_count_leq_matches_digit_walk(n):
 @pytest.mark.parametrize("level", [*range(12), 60, 500, 2000, 6000])
 def test_count_leq_at_level_edges_matches_digit_walk(level):
     q = (1 << 2 * level) + 2 * (4**level - 1) // 3  # q(1, level)
-    for n in (level_max(level) - 1, level_max(level), level_max(level) + 1, q - 1):
+    top = level_max(level)
+    # past level_max: lead 4 with a digit 3, then lead 5 up to the next level
+    past = (5 << 2 * level) - 1, 5 << 2 * level, level_min(level + 1) - 1
+    for n in (top - 1, top, top + 1, *past, q - 1):
         assert count_leq(n) == count_leq_by_digit_walk(n), (level, n)
 
 
